@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstring>
 #include <thread>
@@ -398,6 +399,17 @@ Result<TcpConnection> TcpListener::Accept(int timeout_ms) {
   } while (cfd < 0 && errno == EINTR);
   if (cfd < 0) return Errno("accept");
   return TcpConnection(cfd);
+}
+
+Result<uint16_t> ParsePort(const std::string& text) {
+  const char* end = text.data() + text.size();
+  uint32_t value = 0;
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end || value > 65535) {
+    return Status::InvalidArgument("port must be a number in 0..65535, got '" +
+                                   text + "'");
+  }
+  return static_cast<uint16_t>(value);
 }
 
 }  // namespace net

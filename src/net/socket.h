@@ -126,5 +126,9 @@ class TcpListener {
   uint16_t port_ = 0;
 };
 
+/// \brief Parses a decimal TCP port, 0..65535. An empty, non-numeric or
+/// out-of-range value is InvalidArgument — never wrapped or defaulted.
+Result<uint16_t> ParsePort(const std::string& text);
+
 }  // namespace net
 }  // namespace tcvs

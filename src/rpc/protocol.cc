@@ -25,7 +25,6 @@ Result<cvs::FileOp> DeserializeFileOp(util::Reader* r) {
 
 Bytes RpcRequest::Serialize() const {
   util::Writer w;
-  w.PutU8(kRpcVersionEscape);
   w.PutU8(kRpcWireVersion);
   w.PutU8(static_cast<uint8_t>(type));
   w.PutU32(user);
@@ -37,28 +36,19 @@ Bytes RpcRequest::Serialize() const {
   w.PutU64(trace_id);
   w.PutU64(span_id);
   w.PutU64(parent_span_id);
-  w.PutU32(profile_seconds);
-  w.PutU32(profile_hz);
   return w.Take();
 }
 
 Result<util::Tainted<RpcRequest>> RpcRequest::Deserialize(const Bytes& data) {
   util::Reader r(data);
   RpcRequest req;
-  TCVS_ASSIGN_OR_RETURN(uint8_t first, r.GetU8());
-  uint8_t version = 1;
-  uint8_t type = first;
-  if (first == kRpcVersionEscape) {
-    TCVS_ASSIGN_OR_RETURN(version, r.GetU8());
-    if (version < 2 || version > kRpcWireVersion) {
-      return Status::InvalidArgument("unsupported rpc wire version");
-    }
-    TCVS_ASSIGN_OR_RETURN(type, r.GetU8());
+  TCVS_ASSIGN_OR_RETURN(uint8_t version, r.GetU8());
+  if (version != kRpcWireVersion) {
+    return Status::InvalidArgument("unsupported rpc wire version");
   }
-  // Older peers predate the newer types; reject what their wire version
-  // could not have named (v1: through kStats, v2: through kEvents).
-  const uint8_t max_type = version >= 3 ? 9 : version == 2 ? 8 : 6;
-  if (type < 1 || type > max_type) {
+  TCVS_ASSIGN_OR_RETURN(uint8_t type, r.GetU8());
+  if (type < static_cast<uint8_t>(RpcType::kTransact) ||
+      type > static_cast<uint8_t>(RpcType::kLogCheckpoint)) {
     return Status::InvalidArgument("bad rpc type");
   }
   req.type = static_cast<RpcType>(type);
@@ -72,15 +62,9 @@ Result<util::Tainted<RpcRequest>> RpcRequest::Deserialize(const Bytes& data) {
   TCVS_ASSIGN_OR_RETURN(req.prefix, r.GetString());
   TCVS_ASSIGN_OR_RETURN(req.old_size, r.GetU64());
   TCVS_ASSIGN_OR_RETURN(req.request_id, r.GetU64());
-  if (version >= 2) {
-    TCVS_ASSIGN_OR_RETURN(req.trace_id, r.GetU64());
-    TCVS_ASSIGN_OR_RETURN(req.span_id, r.GetU64());
-    TCVS_ASSIGN_OR_RETURN(req.parent_span_id, r.GetU64());
-  }
-  if (version >= 3) {
-    TCVS_ASSIGN_OR_RETURN(req.profile_seconds, r.GetU32());
-    TCVS_ASSIGN_OR_RETURN(req.profile_hz, r.GetU32());
-  }
+  TCVS_ASSIGN_OR_RETURN(req.trace_id, r.GetU64());
+  TCVS_ASSIGN_OR_RETURN(req.span_id, r.GetU64());
+  TCVS_ASSIGN_OR_RETURN(req.parent_span_id, r.GetU64());
   return util::Tainted<RpcRequest>(std::move(req));
 }
 

@@ -32,30 +32,14 @@ enum class RpcType : uint8_t {
   /// Transparency-log checkpoint + consistency proof
   /// (cvs::ServerApi::LogCheckpoint).
   kLogCheckpoint = 5,
-  /// Serialized util::MetricsSnapshot of the server process (observability;
-  /// `tcvs stats`). Read-only, never cached, carries no payload fields.
-  kStats = 6,
-  /// Drain-and-return the server's trace ring as a serialized
-  /// util::TraceDump (`tcvs trace`). Read-only, never cached.
-  kTraceDump = 7,
-  /// Serialized util::AuditLog snapshot of the server process
-  /// (`tcvs events`). Read-only, never cached.
-  kEvents = 8,
-  /// Collect a windowed CPU profile on the server (util::ProfileWindow) and
-  /// return it in folded/collapsed-stack text (`tcvs profile`). Read-only,
-  /// never cached; blocks for the requested window, so the serve loop
-  /// dispatches it OUTSIDE the execution lock. v3 wire.
-  kProfile = 9,
 };
 
-/// \brief Request wire versioning. v1 frames began directly with the type
-/// byte (1..6). v2 frames start with the kRpcVersionEscape byte — a value
-/// no v1 type ever used — then the version, then the v1 layout, then the
-/// trace-context triple. v3 appends the kProfile parameter pair
-/// (profile_seconds, profile_hz). Deserialize accepts all three, so a v3
-/// server still understands v1/v2 clients.
-inline constexpr uint8_t kRpcWireVersion = 3;
-inline constexpr uint8_t kRpcVersionEscape = 0xFF;
+/// \brief Request wire version: the first byte of every request frame.
+/// Deserialize accepts exactly this value and rejects any other with
+/// InvalidArgument. The value sits above every type tag the earlier
+/// layouts began with (1..9, or the 0xFF escape), so an old-layout frame
+/// fails the version check instead of misparsing.
+inline constexpr uint8_t kRpcWireVersion = 16;
 
 /// \brief One request frame.
 struct RpcRequest {
@@ -70,19 +54,13 @@ struct RpcRequest {
   /// counter-bearing transaction stays exactly-once within a server
   /// incarnation, and the client's register chain has no gap.
   uint64_t request_id = 0;
-  /// \name Causal-trace context (Dapper-style; v2 wire). The client copies
-  /// its active span here; the serve loop installs it so server handler
-  /// spans join the caller's trace. All-zero from v1 clients.
+  /// \name Causal-trace context (Dapper-style). The client copies its
+  /// active span here; the serve loop installs it so server handler spans
+  /// join the caller's trace.
   /// @{
   uint64_t trace_id = 0;
   uint64_t span_id = 0;
   uint64_t parent_span_id = 0;
-  /// @}
-  /// \name kProfile parameters (v3 wire): window length and sampling
-  /// frequency, clamped server-side to util::kMin/MaxProfileSeconds/Hz.
-  /// @{
-  uint32_t profile_seconds = 0;
-  uint32_t profile_hz = 0;
   /// @}
 
   Bytes Serialize() const;

@@ -1,6 +1,5 @@
 #include "rpc/remote.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -11,13 +10,11 @@
 #include <unordered_map>
 #include <vector>
 
-#include "util/audit.h"
 #include "util/cost.h"
 #include "util/fault.h"
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/mutex.h"
-#include "util/profiler.h"
 #include "util/serde.h"
 
 namespace tcvs {
@@ -81,14 +78,6 @@ util::LatencyHistogram* ClientMethodLatency(RpcType type) {
       util::MetricsRegistry::Instance().GetLatency("rpc.client.list.latency_us"),
       util::MetricsRegistry::Instance().GetLatency(
           "rpc.client.log_checkpoint.latency_us"),
-      util::MetricsRegistry::Instance().GetLatency(
-          "rpc.client.stats.latency_us"),
-      util::MetricsRegistry::Instance().GetLatency(
-          "rpc.client.trace_dump.latency_us"),
-      util::MetricsRegistry::Instance().GetLatency(
-          "rpc.client.events.latency_us"),
-      util::MetricsRegistry::Instance().GetLatency(
-          "rpc.client.profile.latency_us"),
   };
   return kLatency[static_cast<size_t>(type) - 1];
 }
@@ -96,8 +85,7 @@ util::LatencyHistogram* ClientMethodLatency(RpcType type) {
 /// Stable lowercase method name, same indexing (slow-op records, tooling).
 const char* RpcMethodName(RpcType type) {
   static const char* const kNames[] = {
-      "transact",  "get_params", "shutdown",   "list",
-      "log_checkpoint", "stats", "trace_dump", "events", "profile",
+      "transact", "get_params", "shutdown", "list", "log_checkpoint",
   };
   return kNames[static_cast<size_t>(type) - 1];
 }
@@ -117,20 +105,12 @@ util::LatencyHistogram* ServeMethodLatency(RpcType type) {
           "rpc.serve.list.latency_us"),
       util::MetricsRegistry::Instance().GetLatency(
           "rpc.serve.log_checkpoint.latency_us"),
-      util::MetricsRegistry::Instance().GetLatency(
-          "rpc.serve.stats.latency_us"),
-      util::MetricsRegistry::Instance().GetLatency(
-          "rpc.serve.trace_dump.latency_us"),
-      util::MetricsRegistry::Instance().GetLatency(
-          "rpc.serve.events.latency_us"),
-      util::MetricsRegistry::Instance().GetLatency(
-          "rpc.serve.profile.latency_us"),
   };
   return kLatency[static_cast<size_t>(type) - 1];
 }
 
 /// Per-method aggregated request cost, for the methods that do real
-/// protocol work (the observability methods cost nothing interesting).
+/// protocol work (GetParams and Shutdown cost nothing interesting).
 /// Each field mirrors one util::CostCounters field; /varz divides by the
 /// method's requests_total to report cost per operation.
 struct MethodCostCounters {
@@ -214,14 +194,6 @@ util::Counter* ServeMethodRequests(RpcType type) {
           "rpc.serve.list.requests_total"),
       util::MetricsRegistry::Instance().GetCounter(
           "rpc.serve.log_checkpoint.requests_total"),
-      util::MetricsRegistry::Instance().GetCounter(
-          "rpc.serve.stats.requests_total"),
-      util::MetricsRegistry::Instance().GetCounter(
-          "rpc.serve.trace_dump.requests_total"),
-      util::MetricsRegistry::Instance().GetCounter(
-          "rpc.serve.events.requests_total"),
-      util::MetricsRegistry::Instance().GetCounter(
-          "rpc.serve.profile.requests_total"),
   };
   return kRequests[static_cast<size_t>(type) - 1];
 }
@@ -416,72 +388,6 @@ Status RemoteServer::Shutdown() {
   return resp.ToStatus();
 }
 
-Result<util::MetricsSnapshot> RemoteServer::Stats() {
-  RpcRequest req;
-  req.type = RpcType::kStats;
-  TCVS_ASSIGN_OR_RETURN(RpcResponse resp, Call(std::move(req)));
-  TCVS_RETURN_NOT_OK(resp.ToStatus());
-  // A stats reply is diagnostic, not verified state: a parse failure is
-  // still loud (it indicates version skew or corruption) but reported as
-  // what it is.
-  auto snap = util::MetricsSnapshot::Deserialize(resp.payload);
-  if (!snap.ok()) {
-    return Status::InvalidArgument("malformed stats reply from server: " +
-                                   snap.status().ToString());
-  }
-  return snap;
-}
-
-Result<util::TraceDump> RemoteServer::TraceDump() {
-  RpcRequest req;
-  req.type = RpcType::kTraceDump;
-  TCVS_ASSIGN_OR_RETURN(RpcResponse resp, Call(std::move(req)));
-  TCVS_RETURN_NOT_OK(resp.ToStatus());
-  auto dump = util::TraceDump::Deserialize(resp.payload);
-  if (!dump.ok()) {
-    return Status::InvalidArgument("malformed trace dump from server: " +
-                                   dump.status().ToString());
-  }
-  return dump;
-}
-
-Result<std::string> RemoteServer::Profile(int seconds, int hz) {
-  RpcRequest req;
-  req.type = RpcType::kProfile;
-  seconds = std::clamp(seconds, util::kMinProfileSeconds,
-                       util::kMaxProfileSeconds);
-  req.profile_seconds = static_cast<uint32_t>(seconds);
-  req.profile_hz = static_cast<uint32_t>(
-      std::clamp(hz, util::kMinProfileHz, util::kMaxProfileHz));
-  // The server blocks for the whole window before replying; widen the frame
-  // deadline so the wait is not misread as a hung server (and retried,
-  // which would just hit "profiler busy").
-  const int saved_io_timeout_ms = options_.io_timeout_ms;
-  if (saved_io_timeout_ms > 0) {
-    options_.io_timeout_ms = saved_io_timeout_ms + seconds * 1000;
-    conn_.set_io_timeout_ms(options_.io_timeout_ms);
-  }
-  auto resp = Call(std::move(req));
-  options_.io_timeout_ms = saved_io_timeout_ms;
-  if (conn_.valid()) conn_.set_io_timeout_ms(saved_io_timeout_ms);
-  TCVS_RETURN_NOT_OK(resp.status());
-  TCVS_RETURN_NOT_OK(resp->ToStatus());
-  return std::string(resp->payload.begin(), resp->payload.end());
-}
-
-Result<std::vector<util::AuditEvent>> RemoteServer::Events() {
-  RpcRequest req;
-  req.type = RpcType::kEvents;
-  TCVS_ASSIGN_OR_RETURN(RpcResponse resp, Call(std::move(req)));
-  TCVS_RETURN_NOT_OK(resp.ToStatus());
-  auto events = util::AuditLog::Deserialize(resp.payload);
-  if (!events.ok()) {
-    return Status::InvalidArgument("malformed events reply from server: " +
-                                   events.status().ToString());
-  }
-  return events;
-}
-
 namespace {
 
 /// Bounded request-id → serialized-reply cache: enough to cover every
@@ -543,7 +449,7 @@ class ServeState {
   Bytes HandleFrame(const Bytes& frame, bool* shutdown, RpcType* type_out,
                     uint64_t* trace_id_out) {
     // `requests` increments strictly before `replies` on every path, so any
-    // concurrent Stats snapshot observes replies_total ≤ requests_total.
+    // concurrent metrics snapshot observes replies_total ≤ requests_total.
     static util::Counter* const requests =
         util::MetricsRegistry::Instance().GetCounter(
             "rpc.serve.requests_total");
@@ -580,23 +486,6 @@ class ServeState {
     *trace_id_out = util::CurrentSpanContext().trace_id;
     requests->Increment();
     ServeMethodRequests(req.type)->Increment();
-    if (req.type == RpcType::kProfile) {
-      // Dispatched BEFORE the execution lock: a profile window blocks for
-      // seconds, and holding mu_ across it would stall every other request.
-      // ProfileWindow serializes concurrent windows itself ("profiler busy").
-      RpcResponse resp;
-      auto profile_or = util::ProfileWindow(
-          static_cast<int>(req.profile_hz),
-          static_cast<int>(req.profile_seconds));
-      if (!profile_or.ok()) {
-        resp = RpcResponse::FromStatus(profile_or.status());
-      } else {
-        const std::string folded = profile_or->FoldedFormat();
-        resp.payload.assign(folded.begin(), folded.end());
-      }
-      replies->Increment();
-      return resp.Serialize();
-    }
     // Counter-bearing transactions replay idempotently via the cache;
     // GetParams/LogCheckpoint are naturally idempotent, Shutdown is not a
     // transaction.
@@ -665,26 +554,6 @@ class ServeState {
       case RpcType::kShutdown:
         *shutdown = true;
         break;
-      case RpcType::kStats:
-        // A read-only snapshot of this process's metrics. The registry lock
-        // ranks below the serve execution lock `mu_` held here (metrics code
-        // never calls back into the serve loop), so this cannot deadlock.
-        resp.payload = util::MetricsRegistry::Instance().Snapshot().Serialize();
-        break;
-      case RpcType::kTraceDump:
-        // Drain-and-ship the trace ring (the drain keeps the ring from
-        // re-serving old spans; the caller owns stitching dumps together).
-        resp.payload = util::TraceDump::FromEvents(
-                           util::MetricsRegistry::Instance().DrainTrace())
-                           .Serialize();
-        break;
-      case RpcType::kEvents:
-        // Snapshot (not drain): audit history stays queryable by later
-        // auditors up to the log's retention bound.
-        resp.payload = util::AuditLog::Instance().Serialize();
-        break;
-      case RpcType::kProfile:
-        break;  // Unreachable: dispatched before the execution lock above.
     }
     Bytes wire = resp.Serialize();
     if (cacheable) reply_cache_.Insert(req.request_id, wire);

@@ -7,7 +7,6 @@
 #include "net/socket.h"
 #include "rpc/protocol.h"
 #include "rpc/retry.h"
-#include "util/audit.h"
 #include "util/metrics.h"
 #include "util/random.h"
 
@@ -66,26 +65,6 @@ class RemoteServer : public cvs::ServerApi {
 
   /// Asks the server's serving loop to exit (operator tooling / tests).
   Status Shutdown();
-
-  /// Fetches the server process's metrics snapshot (observability; powers
-  /// `tcvs stats`). Read-only and side-effect free on the server.
-  Result<util::MetricsSnapshot> Stats();
-
-  /// Drains and fetches the server process's trace ring (powers
-  /// `tcvs trace`). The server's buffer is cleared by this call.
-  Result<util::TraceDump> TraceDump();
-
-  /// Fetches the server process's security audit-event log (powers
-  /// `tcvs events`). Read-only; the server's log is NOT cleared.
-  Result<std::vector<util::AuditEvent>> Events();
-
-  /// Collects a `seconds`-long CPU profile on the server at `hz` and returns
-  /// it as collapsed/folded-stack text (powers `tcvs profile`; the non-admin
-  /// path to `/pprofz`). Blocks for the window; the transport deadline is
-  /// widened to cover it. Server-side clamping applies
-  /// (util::kMin/MaxProfileSeconds/Hz); a concurrent window returns
-  /// FailedPrecondition("profiler busy").
-  Result<std::string> Profile(int seconds, int hz);
 
   /// Transport-level retries performed so far (observability / tests).
   uint64_t transport_retries() const { return retries_; }

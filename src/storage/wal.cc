@@ -1,5 +1,6 @@
 #include "storage/wal.h"
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -204,7 +205,10 @@ Status AtomicWriteFile(const std::string& path, const Bytes& contents) {
     std::fclose(f);
     return Errno("write " + tmp);
   }
-  if (std::fflush(f) != 0) {
+  // The contents must be durable BEFORE the rename publishes them: a
+  // rename that reaches the disk ahead of the data would replace a good
+  // file with an empty one on power loss.
+  if (std::fflush(f) != 0 || ::fsync(::fileno(f)) != 0) {
     std::fclose(f);
     return Errno("flush " + tmp);
   }
@@ -218,6 +222,17 @@ Status AtomicWriteFile(const std::string& path, const Bytes& contents) {
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     return Errno("rename " + tmp + " -> " + path);
   }
+  // The rename itself is a directory update; sync the directory so callers
+  // (DurableServer::Checkpoint truncates the WAL next) can rely on it.
+  const size_t slash = path.rfind('/');
+  const std::string dir = slash == std::string::npos ? "."
+                          : slash == 0               ? "/"
+                                                     : path.substr(0, slash);
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (dir_fd < 0) return Errno("open directory " + dir);
+  const int rc = ::fsync(dir_fd);
+  ::close(dir_fd);
+  if (rc != 0) return Errno("fsync directory " + dir);
   return Status::OK();
 }
 

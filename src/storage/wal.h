@@ -88,7 +88,10 @@ class WalWriter {
 /// reported via `truncated`).
 Result<std::vector<Bytes>> ReadWal(const std::string& path, bool* truncated);
 
-/// \brief Atomically replaces `path` with `contents` (write temp + rename).
+/// \brief Atomically and durably replaces `path` with `contents`: write
+/// `path`.tmp, fsync it, rename it over `path`, fsync the directory. After
+/// an OK return the new contents survive power loss; after a crash at any
+/// point `path` holds either the old or the new contents, never a mix.
 Status AtomicWriteFile(const std::string& path, const Bytes& contents);
 
 /// \brief Reads an entire file. NotFound when it does not exist.

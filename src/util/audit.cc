@@ -119,42 +119,6 @@ std::string AuditEvent::JsonFormat() const {
   return out;
 }
 
-void AuditEvent::SerializeTo(Writer* w) const {
-  w->PutU8(static_cast<uint8_t>(kind));
-  w->PutU64(seq);
-  w->PutU64(ts_us);
-  w->PutU32(user);
-  w->PutU64(ctr);
-  w->PutU64(epoch);
-  w->PutU64(gctr);
-  w->PutU64(lctr_sum);
-  w->PutBytes(expected_digest);
-  w->PutBytes(actual_digest);
-  w->PutU64(trace_id);
-  w->PutString(detail);
-}
-
-Result<AuditEvent> AuditEvent::DeserializeFrom(Reader* r) {
-  AuditEvent e;
-  TCVS_ASSIGN_OR_RETURN(uint8_t kind, r->GetU8());
-  if (kind < 1 || kind > 8) {
-    return Status::InvalidArgument("unknown audit event kind");
-  }
-  e.kind = static_cast<AuditEventKind>(kind);
-  TCVS_ASSIGN_OR_RETURN(e.seq, r->GetU64());
-  TCVS_ASSIGN_OR_RETURN(e.ts_us, r->GetU64());
-  TCVS_ASSIGN_OR_RETURN(e.user, r->GetU32());
-  TCVS_ASSIGN_OR_RETURN(e.ctr, r->GetU64());
-  TCVS_ASSIGN_OR_RETURN(e.epoch, r->GetU64());
-  TCVS_ASSIGN_OR_RETURN(e.gctr, r->GetU64());
-  TCVS_ASSIGN_OR_RETURN(e.lctr_sum, r->GetU64());
-  TCVS_ASSIGN_OR_RETURN(e.expected_digest, r->GetBytes());
-  TCVS_ASSIGN_OR_RETURN(e.actual_digest, r->GetBytes());
-  TCVS_ASSIGN_OR_RETURN(e.trace_id, r->GetU64());
-  TCVS_ASSIGN_OR_RETURN(e.detail, r->GetString());
-  return e;
-}
-
 AuditLog& AuditLog::Instance() {
   // Leaked like the metrics registry: destructors running at process exit
   // may still emit.
@@ -207,34 +171,6 @@ void AuditLog::set_capacity(size_t capacity) {
 size_t AuditLog::capacity() const {
   MutexLock lock(&mu_);
   return capacity_;
-}
-
-Bytes AuditLog::Serialize() const {
-  const std::vector<AuditEvent> events = Snapshot();
-  Writer w;
-  w.PutU8(1);  // Audit log wire version.
-  w.PutU32(static_cast<uint32_t>(events.size()));
-  for (const AuditEvent& e : events) e.SerializeTo(&w);
-  return w.Take();
-}
-
-Result<std::vector<AuditEvent>> AuditLog::Deserialize(const Bytes& data) {
-  Reader r(data);
-  TCVS_ASSIGN_OR_RETURN(uint8_t version, r.GetU8());
-  if (version != 1) {
-    return Status::InvalidArgument("unsupported audit log version");
-  }
-  TCVS_ASSIGN_OR_RETURN(uint32_t count, r.GetU32());
-  if (count > kMaxCapacity) {
-    return Status::InvalidArgument("audit log too large");
-  }
-  std::vector<AuditEvent> events;
-  events.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    TCVS_ASSIGN_OR_RETURN(AuditEvent e, AuditEvent::DeserializeFrom(&r));
-    events.push_back(std::move(e));
-  }
-  return events;
 }
 
 void AuditLog::ResetForTesting() {

@@ -7,8 +7,6 @@
 
 #include "util/bytes.h"
 #include "util/mutex.h"
-#include "util/result.h"
-#include "util/serde.h"
 #include "util/thread_annotations.h"
 
 namespace tcvs {
@@ -104,9 +102,6 @@ struct AuditEvent {
   /// One JSON object (single line): {"seq":…,"kind":"…",…,"trace_id":"…"}.
   /// Digests and the trace id are hex strings.
   std::string JsonFormat() const;
-
-  void SerializeTo(Writer* w) const;
-  static Result<AuditEvent> DeserializeFrom(Reader* r);
 };
 
 /// \brief The process-wide bounded audit log. Thread-safe; keeps the newest
@@ -140,12 +135,6 @@ class AuditLog {
   /// Clamped to [kMinCapacity, kMaxCapacity]; trims oldest if shrinking.
   void set_capacity(size_t capacity) TCVS_EXCLUDES(mu_);
   size_t capacity() const TCVS_EXCLUDES(mu_);
-
-  /// Wire form of Snapshot() — the kEvents RPC payload.
-  Bytes Serialize() const TCVS_EXCLUDES(mu_);
-  // taint-exempt: observability-only — the kEvents payload is rendered for
-  // diagnostics and feeds no trusted sink or protocol register.
-  static Result<std::vector<AuditEvent>> Deserialize(const Bytes& data);
 
   /// Drops every retained event and restores defaults; the sequence
   /// counter keeps advancing (seq stays unique for the process lifetime).

@@ -3,8 +3,6 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "util/serde.h"
-
 namespace tcvs {
 namespace util {
 
@@ -101,74 +99,6 @@ std::string SlowOpRecord::JsonFormat() const {
   }
   out += "]}";
   return out;
-}
-
-Bytes SlowOpRecord::Serialize() const {
-  Writer w;
-  // SlowOpRecord wire version. v2 added cost.queue_us (queue-delay
-  // attribution); v1 records read back with queue_us = 0.
-  w.PutU8(2);
-  w.PutString(method);
-  w.PutU64(latency_us);
-  w.PutU64(trace_id);
-  w.PutU64(ts_us);
-  w.PutU64(cost.hashes);
-  w.PutU64(cost.bytes_hashed);
-  w.PutU64(cost.sig_verifies);
-  w.PutU64(cost.vo_bytes_built);
-  w.PutU64(cost.wal_appends);
-  w.PutU64(cost.wal_fsync_wait_us);
-  w.PutU64(cost.queue_us);
-  w.PutU32(static_cast<uint32_t>(spans.size()));
-  for (const TraceDump::Event& e : spans) {
-    w.PutString(e.name);
-    w.PutU64(e.start_us);
-    w.PutU64(e.duration_us);
-    w.PutU32(e.thread);
-    w.PutU64(e.trace_id);
-    w.PutU64(e.span_id);
-    w.PutU64(e.parent_span_id);
-  }
-  return w.Take();
-}
-
-Result<SlowOpRecord> SlowOpRecord::Deserialize(const Bytes& data) {
-  Reader r(data);
-  TCVS_ASSIGN_OR_RETURN(uint8_t version, r.GetU8());
-  if (version < 1 || version > 2) {
-    return Status::InvalidArgument("unsupported slow-op record version");
-  }
-  SlowOpRecord rec;
-  TCVS_ASSIGN_OR_RETURN(rec.method, r.GetString());
-  TCVS_ASSIGN_OR_RETURN(rec.latency_us, r.GetU64());
-  TCVS_ASSIGN_OR_RETURN(rec.trace_id, r.GetU64());
-  TCVS_ASSIGN_OR_RETURN(rec.ts_us, r.GetU64());
-  TCVS_ASSIGN_OR_RETURN(rec.cost.hashes, r.GetU64());
-  TCVS_ASSIGN_OR_RETURN(rec.cost.bytes_hashed, r.GetU64());
-  TCVS_ASSIGN_OR_RETURN(rec.cost.sig_verifies, r.GetU64());
-  TCVS_ASSIGN_OR_RETURN(rec.cost.vo_bytes_built, r.GetU64());
-  TCVS_ASSIGN_OR_RETURN(rec.cost.wal_appends, r.GetU64());
-  TCVS_ASSIGN_OR_RETURN(rec.cost.wal_fsync_wait_us, r.GetU64());
-  if (version >= 2) {
-    TCVS_ASSIGN_OR_RETURN(rec.cost.queue_us, r.GetU64());
-  }
-  TCVS_ASSIGN_OR_RETURN(uint32_t n_spans, r.GetU32());
-  if (n_spans > ScopedSpanCollector::kMaxSpans) {
-    return Status::InvalidArgument("slow-op record with too many spans");
-  }
-  rec.spans.reserve(n_spans);
-  for (uint32_t i = 0; i < n_spans; ++i) {
-    TraceDump::Event e;
-    TCVS_ASSIGN_OR_RETURN(e.name, r.GetString());
-    TCVS_ASSIGN_OR_RETURN(e.start_us, r.GetU64());
-    TCVS_ASSIGN_OR_RETURN(e.duration_us, r.GetU64());
-    TCVS_ASSIGN_OR_RETURN(e.thread, r.GetU32());
-    TCVS_ASSIGN_OR_RETURN(e.trace_id, r.GetU64());
-    TCVS_ASSIGN_OR_RETURN(e.span_id, r.GetU64());
-    TCVS_ASSIGN_OR_RETURN(e.parent_span_id, r.GetU64());
-    rec.spans.push_back(std::move(e));
-  }
-  return rec;
 }
 
 }  // namespace util

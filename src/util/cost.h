@@ -4,9 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "util/bytes.h"
 #include "util/metrics.h"
-#include "util/result.h"
 
 namespace tcvs {
 namespace util {
@@ -109,11 +107,6 @@ struct SlowOpRecord {
   /// One JSON object, single line, no trailing newline. Ids are 16-hex-digit
   /// strings like the trace dump's.
   std::string JsonFormat() const;
-
-  Bytes Serialize() const;
-  // taint-exempt: observability-only — slow-op records are rendered for
-  // humans and feed no trusted sink or protocol register.
-  static Result<SlowOpRecord> Deserialize(const Bytes& data);
 };
 
 }  // namespace util

@@ -5,7 +5,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "util/serde.h"
+#include "util/jsonish.h"
 
 namespace tcvs {
 namespace util {
@@ -111,35 +111,40 @@ uint64_t Histogram::Quantile(double q) const {
   return max_;
 }
 
-void Histogram::SerializeTo(Writer* w) const {
-  w->PutU64(count_);
-  w->PutU64(sum_);
-  w->PutU64(min_);
-  w->PutU64(max_);
-  uint32_t nonzero = 0;
-  for (size_t i = 0; i < kBuckets; ++i) nonzero += buckets_[i] != 0;
-  w->PutU32(nonzero);
+std::string Histogram::BucketsJson() const {
+  std::string out = "[";
   for (size_t i = 0; i < kBuckets; ++i) {
     if (buckets_[i] == 0) continue;
-    w->PutU32(static_cast<uint32_t>(i));
-    w->PutU64(buckets_[i]);
+    if (out.size() > 1) out.push_back(',');
+    out += "[" + std::to_string(i) + "," + std::to_string(buckets_[i]) + "]";
   }
+  out.push_back(']');
+  return out;
 }
 
-Result<Histogram> Histogram::DeserializeFrom(Reader* r) {
+Result<Histogram> Histogram::FromJson(const JsonValue& json) {
+  const JsonValue* buckets = json.Get("buckets");
+  if (buckets == nullptr || !buckets->is_array()) {
+    return Status::InvalidArgument("histogram has no bucket array");
+  }
   Histogram h;
-  TCVS_ASSIGN_OR_RETURN(h.count_, r->GetU64());
-  TCVS_ASSIGN_OR_RETURN(h.sum_, r->GetU64());
-  TCVS_ASSIGN_OR_RETURN(h.min_, r->GetU64());
-  TCVS_ASSIGN_OR_RETURN(h.max_, r->GetU64());
-  TCVS_ASSIGN_OR_RETURN(uint32_t nonzero, r->GetU32());
-  if (nonzero > kBuckets) return Status::InvalidArgument("bad histogram");
+  h.count_ = json.GetU64("count");
+  h.sum_ = json.GetU64("sum");
+  h.max_ = json.GetU64("max");
+  if (h.count_ != 0) h.min_ = json.GetU64("min");
   uint64_t total = 0;
-  for (uint32_t i = 0; i < nonzero; ++i) {
-    TCVS_ASSIGN_OR_RETURN(uint32_t bucket, r->GetU32());
-    TCVS_ASSIGN_OR_RETURN(uint64_t n, r->GetU64());
-    if (bucket >= kBuckets) return Status::InvalidArgument("bad bucket index");
-    h.buckets_[bucket] = n;
+  for (const JsonValue& entry : buckets->array()) {
+    if (!entry.is_array() || entry.array().size() != 2 ||
+        !entry.array()[0].is_number() || !entry.array()[1].is_number()) {
+      return Status::InvalidArgument("bucket entry is not [index,count]");
+    }
+    const double index = entry.array()[0].number();
+    if (!(index >= 0) || index >= static_cast<double>(kBuckets) ||
+        index != std::floor(index)) {
+      return Status::InvalidArgument("bad bucket index");
+    }
+    const uint64_t n = entry.array()[1].AsU64();
+    h.buckets_[static_cast<size_t>(index)] += n;
     total += n;
   }
   if (total != h.count_) {

@@ -9,8 +9,7 @@
 namespace tcvs {
 namespace util {
 
-class Reader;
-class Writer;
+class JsonValue;
 
 /// \brief Fixed-memory latency histogram with exponential buckets (powers of
 /// two with 4 sub-buckets each, HdrHistogram-lite). Records values in
@@ -51,10 +50,15 @@ class Histogram {
   /// "count=… mean=… p50=… p90=… p99=… max=…" one-liner for reports.
   std::string Summary() const;
 
-  /// \name Wire form (sparse bucket encoding), for metrics snapshots.
+  /// \name JSON form (the `/varz` histogram object). BucketsJson() renders
+  /// the non-zero buckets as a sparse `[[index,count],…]` array; FromJson
+  /// reads an object carrying `count`, `sum`, `min`, `max` and that array
+  /// back, rejecting an out-of-range bucket index or bucket counts that do
+  /// not sum to `count`. The round trip is exact, so interval quantiles
+  /// (DeltaSince) work on scraped snapshots.
   /// @{
-  void SerializeTo(Writer* w) const;
-  static Result<Histogram> DeserializeFrom(Reader* r);
+  std::string BucketsJson() const;
+  static Result<Histogram> FromJson(const JsonValue& json);
   /// @}
 
   /// Bucket index a value lands in (exposed for exemplar slotting — the

@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "util/logging.h"
-#include "util/serde.h"
 
 namespace tcvs {
 namespace util {
@@ -404,6 +403,8 @@ std::string MetricsSnapshot::JsonFormat() const {
     AppendU64(&out, hist.p90());
     out += ",\"p99\":";
     AppendU64(&out, hist.p99());
+    out += ",\"buckets\":";
+    out += hist.BucketsJson();
     out.push_back('}');
   }
   out += "},\"exemplars\":{";
@@ -434,92 +435,6 @@ std::string MetricsSnapshot::JsonFormat() const {
   }
   out += "}}";
   return out;
-}
-
-Bytes MetricsSnapshot::Serialize() const {
-  Writer w;
-  w.PutU32(static_cast<uint32_t>(counters.size()));
-  for (const auto& [name, value] : counters) {
-    w.PutString(name);
-    w.PutU64(value);
-  }
-  w.PutU32(static_cast<uint32_t>(gauges.size()));
-  for (const auto& [name, value] : gauges) {
-    w.PutString(name);
-    w.PutU64(static_cast<uint64_t>(value));
-  }
-  w.PutU32(static_cast<uint32_t>(histograms.size()));
-  for (const auto& [name, hist] : histograms) {
-    w.PutString(name);
-    hist.SerializeTo(&w);
-  }
-  // Exemplar section, appended last: pre-exemplar readers stop after the
-  // histograms and tolerate these trailing bytes, so the wire stays
-  // compatible in both directions (see Deserialize).
-  w.PutU32(static_cast<uint32_t>(exemplars.size()));
-  for (const auto& [name, pool] : exemplars) {
-    w.PutString(name);
-    w.PutU32(static_cast<uint32_t>(pool.size()));
-    for (const Exemplar& e : pool) {
-      w.PutU64(e.value);
-      w.PutU64(e.trace_id);
-      w.PutU64(e.ts_us);
-      w.PutU32(e.bucket);
-    }
-  }
-  return w.Take();
-}
-
-Result<MetricsSnapshot> MetricsSnapshot::Deserialize(const Bytes& data) {
-  constexpr uint32_t kMaxMetrics = 1u << 16;  // Cap a malicious snapshot.
-  Reader r(data);
-  MetricsSnapshot snap;
-  TCVS_ASSIGN_OR_RETURN(uint32_t n_counters, r.GetU32());
-  if (n_counters > kMaxMetrics) return Status::InvalidArgument("too many counters");
-  for (uint32_t i = 0; i < n_counters; ++i) {
-    TCVS_ASSIGN_OR_RETURN(std::string name, r.GetString());
-    TCVS_ASSIGN_OR_RETURN(uint64_t value, r.GetU64());
-    snap.counters.emplace(std::move(name), value);
-  }
-  TCVS_ASSIGN_OR_RETURN(uint32_t n_gauges, r.GetU32());
-  if (n_gauges > kMaxMetrics) return Status::InvalidArgument("too many gauges");
-  for (uint32_t i = 0; i < n_gauges; ++i) {
-    TCVS_ASSIGN_OR_RETURN(std::string name, r.GetString());
-    TCVS_ASSIGN_OR_RETURN(uint64_t value, r.GetU64());
-    snap.gauges.emplace(std::move(name), static_cast<int64_t>(value));
-  }
-  TCVS_ASSIGN_OR_RETURN(uint32_t n_hists, r.GetU32());
-  if (n_hists > kMaxMetrics) return Status::InvalidArgument("too many histograms");
-  for (uint32_t i = 0; i < n_hists; ++i) {
-    TCVS_ASSIGN_OR_RETURN(std::string name, r.GetString());
-    TCVS_ASSIGN_OR_RETURN(Histogram hist, Histogram::DeserializeFrom(&r));
-    snap.histograms.emplace(std::move(name), std::move(hist));
-  }
-  // Pre-exemplar senders end here; treat a missing section as empty.
-  if (r.AtEnd()) return snap;
-  TCVS_ASSIGN_OR_RETURN(uint32_t n_exemplars, r.GetU32());
-  if (n_exemplars > kMaxMetrics) {
-    return Status::InvalidArgument("too many exemplar sets");
-  }
-  for (uint32_t i = 0; i < n_exemplars; ++i) {
-    TCVS_ASSIGN_OR_RETURN(std::string name, r.GetString());
-    TCVS_ASSIGN_OR_RETURN(uint32_t n_pool, r.GetU32());
-    if (n_pool > LatencyHistogram::kExemplarSlots) {
-      return Status::InvalidArgument("oversized exemplar reservoir");
-    }
-    std::vector<Exemplar> pool;
-    pool.reserve(n_pool);
-    for (uint32_t j = 0; j < n_pool; ++j) {
-      Exemplar e;
-      TCVS_ASSIGN_OR_RETURN(e.value, r.GetU64());
-      TCVS_ASSIGN_OR_RETURN(e.trace_id, r.GetU64());
-      TCVS_ASSIGN_OR_RETURN(e.ts_us, r.GetU64());
-      TCVS_ASSIGN_OR_RETURN(e.bucket, r.GetU32());
-      pool.push_back(e);
-    }
-    snap.exemplars.emplace(std::move(name), std::move(pool));
-  }
-  return snap;
 }
 
 TraceDump TraceDump::FromEvents(const std::vector<TraceEvent>& events) {
@@ -580,48 +495,6 @@ std::string TraceDump::ChromeTraceJson() const {
   }
   out += "]}";
   return out;
-}
-
-Bytes TraceDump::Serialize() const {
-  Writer w;
-  w.PutU8(1);  // TraceDump wire version.
-  w.PutU32(static_cast<uint32_t>(events.size()));
-  for (const Event& e : events) {
-    w.PutString(e.name);
-    w.PutU64(e.start_us);
-    w.PutU64(e.duration_us);
-    w.PutU32(e.thread);
-    w.PutU64(e.trace_id);
-    w.PutU64(e.span_id);
-    w.PutU64(e.parent_span_id);
-  }
-  return w.Take();
-}
-
-Result<TraceDump> TraceDump::Deserialize(const Bytes& data) {
-  Reader r(data);
-  TCVS_ASSIGN_OR_RETURN(uint8_t version, r.GetU8());
-  if (version != 1) {
-    return Status::InvalidArgument("unsupported trace dump version");
-  }
-  TCVS_ASSIGN_OR_RETURN(uint32_t count, r.GetU32());
-  if (count > MetricsRegistry::kMaxTraceCapacity) {
-    return Status::InvalidArgument("trace dump too large");
-  }
-  TraceDump dump;
-  dump.events.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    Event e;
-    TCVS_ASSIGN_OR_RETURN(e.name, r.GetString());
-    TCVS_ASSIGN_OR_RETURN(e.start_us, r.GetU64());
-    TCVS_ASSIGN_OR_RETURN(e.duration_us, r.GetU64());
-    TCVS_ASSIGN_OR_RETURN(e.thread, r.GetU32());
-    TCVS_ASSIGN_OR_RETURN(e.trace_id, r.GetU64());
-    TCVS_ASSIGN_OR_RETURN(e.span_id, r.GetU64());
-    TCVS_ASSIGN_OR_RETURN(e.parent_span_id, r.GetU64());
-    dump.events.push_back(std::move(e));
-  }
-  return dump;
 }
 
 uint64_t MonotonicMicros() {

@@ -9,10 +9,8 @@
 #include <string_view>
 #include <vector>
 
-#include "util/bytes.h"
 #include "util/histogram.h"
 #include "util/mutex.h"
-#include "util/result.h"
 #include "util/thread_annotations.h"
 
 namespace tcvs {
@@ -228,8 +226,8 @@ class ScopedSpanCollector {
 };
 
 /// \brief A drained copy of the trace ring, detached from the registry:
-/// safe to serialize, ship over the kTraceDump RPC, and render offline as
-/// Chrome trace-event JSON (chrome://tracing, Perfetto).
+/// safe to keep past the drain and render as Chrome trace-event JSON
+/// (chrome://tracing, Perfetto) — the `/tracez` body.
 struct TraceDump {
   /// TraceEvent with an owned name — dumps outlive the emitting process.
   struct Event {
@@ -250,23 +248,16 @@ struct TraceDump {
   /// time. Ids are rendered as 16-hex-digit strings (64-bit ids do not fit
   /// exactly in JSON numbers).
   std::string ChromeTraceJson() const;
-
-  Bytes Serialize() const;
-  // taint-exempt: observability-only — trace dumps are rendered for humans
-  // (Chrome trace JSON) and feed no trusted sink or protocol register.
-  static Result<TraceDump> Deserialize(const Bytes& data);
 };
 
 /// \brief Point-in-time copy of every registered metric, detached from the
-/// registry: safe to serialize, ship over the Stats RPC, and render offline.
+/// registry: safe to keep, diff (Histogram::DeltaSince) and render.
 struct MetricsSnapshot {
   std::map<std::string, uint64_t> counters;
   std::map<std::string, int64_t> gauges;
   std::map<std::string, Histogram> histograms;
   /// Exemplar reservoirs of histograms that have any (same keys as
-  /// `histograms`; absent key = empty reservoir). Wire-wise this section is
-  /// appended after the histograms, so pre-exemplar readers (which tolerate
-  /// trailing bytes) and writers (section absent → empty) interoperate.
+  /// `histograms`; absent key = empty reservoir).
   std::map<std::string, std::vector<Exemplar>> exemplars;
 
   /// Prometheus-style text exposition (`tcvs_` prefix, dots → underscores,
@@ -277,14 +268,11 @@ struct MetricsSnapshot {
   /// tools/promcheck.py.
   std::string TextFormat() const;
 
-  /// One JSON object (single line, no trailing newline) for JSON-lines
-  /// structured logging: {"counters":{…},"gauges":{…},"histograms":{…}}.
+  /// One JSON object (single line, no trailing newline) — the `/varz` body
+  /// and the `--log-json` payload: {"counters":{…},"gauges":{…},
+  /// "histograms":{…},"exemplars":{…}}. Each histogram carries its summary
+  /// stats plus the sparse `"buckets"` array Histogram::FromJson reads back.
   std::string JsonFormat() const;
-
-  Bytes Serialize() const;
-  // taint-exempt: observability-only — the Stats payload is rendered for
-  // humans and feeds no trusted sink or protocol register.
-  static Result<MetricsSnapshot> Deserialize(const Bytes& data);
 };
 
 /// \brief The process-wide metric registry. Get-or-create returns stable

@@ -42,7 +42,7 @@ inline constexpr int kMaxProfileSeconds = 30;
 /// @}
 
 /// \brief One collected CPU profile, detached from the profiler: safe to
-/// render, serialize, or ship over the kProfile RPC.
+/// keep and render (folded stacks or a JSON top-N, as `/pprofz` serves).
 struct CpuProfile {
   /// Sampling frequency the profile was collected at.
   int hz = 0;
@@ -85,7 +85,7 @@ Result<CpuProfile> StopCpuProfiler();
 Result<CpuProfile> DrainCpuProfile();
 
 /// Blocking windowed collection — the one call behind `/pprofz?seconds=N`
-/// and the kProfile RPC. If an always-on profiler is running, drains it,
+/// (and so `tcvs profile`). If an always-on profiler is running, drains it,
 /// sleeps `seconds`, and drains again (the window rides the running
 /// profiler; `hz` is ignored in favor of the running frequency). Otherwise
 /// starts at `hz`, sleeps, stops. Windows are serialized: a second caller

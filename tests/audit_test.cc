@@ -1,5 +1,5 @@
 // Tests for the security audit-event log (util/audit.h): the typed event
-// ring itself, its wire form, and — end-to-end — that the partition and
+// ring itself, its JSON-lines form, and — end-to-end — that the partition and
 // replay attack scenarios leave the forensic trail the paper's auditor
 // needs: fork events naming the diverging digests and counters, each tied
 // to a non-zero causal trace id.
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/scenario.h"
+#include "util/jsonish.h"
 #include "util/metrics.h"
 #include "workload/workload.h"
 
@@ -94,7 +95,9 @@ TEST_F(AuditTest, SnapshotSinceIsExclusiveAndOrdered) {
   EXPECT_EQ(tail[0].seq, all[2].seq);
 }
 
-TEST_F(AuditTest, SerializeRoundTripsEveryField) {
+// The /eventsz JSON line is the audit log's only wire form (`tcvs events`
+// parses it back): every field must survive it.
+TEST_F(AuditTest, JsonLineCarriesEveryField) {
   AuditLog& log = AuditLog::Instance();
   AuditEvent e(AuditEventKind::kForkDetected);
   e.user = 2;
@@ -107,21 +110,25 @@ TEST_F(AuditTest, SerializeRoundTripsEveryField) {
   e.trace_id = 0x1122334455667788ull;
   e.detail = "fork/partition detected at sync 100";
   log.Emit(e);
-  auto back = AuditLog::Deserialize(log.Serialize());
-  ASSERT_TRUE(back.ok());
-  ASSERT_EQ(back->size(), 1u);
-  const AuditEvent& b = (*back)[0];
-  EXPECT_EQ(b.kind, AuditEventKind::kForkDetected);
-  EXPECT_EQ(b.user, 2u);
-  EXPECT_EQ(b.ctr, 100u);
-  EXPECT_EQ(b.epoch, 4u);
-  EXPECT_EQ(b.gctr, 100u);
-  EXPECT_EQ(b.lctr_sum, 99u);
-  EXPECT_EQ(b.expected_digest, Bytes(32, 0xAA));
-  EXPECT_EQ(b.actual_digest, Bytes(32, 0xBB));
-  EXPECT_EQ(b.trace_id, 0x1122334455667788ull);
-  EXPECT_EQ(b.detail, "fork/partition detected at sync 100");
-  EXPECT_FALSE(AuditLog::Deserialize(ToBytes("junk")).ok());
+  std::vector<AuditEvent> events = log.Snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  auto parsed = ParseJson(events[0].JsonFormat());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->GetU64("seq"), events[0].seq);
+  EXPECT_EQ(parsed->GetU64("ts_us"), events[0].ts_us);
+  EXPECT_EQ(parsed->Get("kind")->string(), "fork_detected");
+  EXPECT_EQ(parsed->GetU64("user"), 2u);
+  EXPECT_EQ(parsed->GetU64("ctr"), 100u);
+  EXPECT_EQ(parsed->GetU64("epoch"), 4u);
+  EXPECT_EQ(parsed->GetU64("gctr"), 100u);
+  EXPECT_EQ(parsed->GetU64("lctr_sum"), 99u);
+  EXPECT_EQ(parsed->Get("expected_digest")->string(),
+            HexEncode(Bytes(32, 0xAA)));
+  EXPECT_EQ(parsed->Get("actual_digest")->string(),
+            HexEncode(Bytes(32, 0xBB)));
+  EXPECT_EQ(parsed->Get("trace_id")->string(), "1122334455667788");
+  EXPECT_EQ(parsed->Get("detail")->string(),
+            "fork/partition detected at sync 100");
 }
 
 TEST_F(AuditTest, JsonFormatNamesKindAndHexesDigests) {

@@ -117,9 +117,13 @@ class Daemon {
 
 std::string Quoted(const std::string& s) { return "'" + s + "'"; }
 
-/// Runs `tcvs <args>`, capturing stdout+stderr; returns the exit code.
-int RunTcvs(const std::vector<std::string>& args, std::string* output) {
-  std::string cmd = Quoted(TCVS_BIN);
+/// Runs `binary <args>`, capturing stdout+stderr; returns the exit code.
+/// With `timeout_s` > 0 the run is killed after that long (exit code 124),
+/// so a process that should have refused to start cannot hang the test.
+int RunBinary(const std::string& binary, const std::vector<std::string>& args,
+              std::string* output, int timeout_s = 0) {
+  std::string cmd = Quoted(binary);
+  if (timeout_s > 0) cmd = "timeout " + std::to_string(timeout_s) + " " + cmd;
   for (const auto& a : args) cmd += " " + Quoted(a);
   cmd += " 2>&1";
   std::FILE* pipe = ::popen(cmd.c_str(), "r");
@@ -132,6 +136,11 @@ int RunTcvs(const std::vector<std::string>& args, std::string* output) {
   }
   int status = ::pclose(pipe);
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+/// Runs `tcvs <args>`, capturing stdout+stderr; returns the exit code.
+int RunTcvs(const std::vector<std::string>& args, std::string* output) {
+  return RunBinary(TCVS_BIN, args, output);
 }
 
 std::vector<std::string> WithTransport(uint16_t port, const std::string& state,
@@ -248,6 +257,42 @@ TEST(CliResilienceTest, ShutdownCommandStopsDaemon) {
   int status = daemon.Wait();
   EXPECT_TRUE(WIFEXITED(status)) << status;
   EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
+// A port is a number in 0..65535; anything else is a usage error (exit 2)
+// in both binaries — never wrapped (70000 would become 4464) or zeroed
+// ("abc" would become 0, an ephemeral port).
+TEST(CliResilienceTest, BadPortsAreUsageErrors) {
+  TempDir dir;
+  const std::string state = dir.str() + "/alice.state";
+  constexpr int kTimeoutS = 5;
+  std::string out;
+  for (const std::string bad : {"70000", "65536", "abc", "", "-1", "80x"}) {
+    EXPECT_EQ(RunBinary(TCVS_BIN,
+                        {"--server", "127.0.0.1:" + bad, "--user", "1",
+                         "--state", state, "ls"},
+                        &out, kTimeoutS),
+              2)
+        << "tcvs --server port '" << bad << "': " << out;
+    EXPECT_EQ(RunBinary(TCVS_BIN, {"--admin", "127.0.0.1:" + bad, "stats"},
+                        &out, kTimeoutS),
+              2)
+        << "tcvs --admin port '" << bad << "': " << out;
+    EXPECT_EQ(RunBinary(TCVSD_BIN, {"--port", bad}, &out, kTimeoutS), 2)
+        << "tcvsd --port '" << bad << "': " << out;
+    EXPECT_EQ(RunBinary(TCVSD_BIN, {"--port", "0", "--admin-port", bad}, &out,
+                        kTimeoutS),
+              2)
+        << "tcvsd --admin-port '" << bad << "': " << out;
+  }
+  EXPECT_FALSE(std::filesystem::exists(state));
+
+  // A valid port gets past parsing: nothing listens on port 1, so the
+  // command fails as unreachable (exit 1), not as a usage error.
+  EXPECT_EQ(RunBinary(TCVS_BIN, {"--admin", "127.0.0.1:1", "stats"}, &out,
+                      kTimeoutS),
+            1)
+      << out;
 }
 
 }  // namespace

@@ -12,7 +12,9 @@
 //     transport faults force its replay,
 //   * every server handler span joins the trace of the client call that
 //     issued it — causal identity survives 8 threads interleaving on the
-//     wire.
+//     wire,
+//   * the admin plane (/varz, /tracez) reads consistent snapshots while
+//     the serve loop is under load.
 //
 // These tests are the TSan preset's main prey: run them under
 // `cmake --preset tsan` (tools/check.sh does) to turn latent data races in
@@ -31,10 +33,12 @@
 #include <filesystem>
 
 #include "cvs/trusted.h"
+#include "net/http_admin.h"
 #include "net/socket.h"
 #include "rpc/remote.h"
 #include "storage/durable.h"
 #include "util/fault.h"
+#include "util/jsonish.h"
 #include "util/metrics.h"
 
 namespace tcvs {
@@ -48,6 +52,28 @@ rpc::RemoteOptions FastRetryOptions() {
   options.connect_timeout_ms = 2000;
   options.io_timeout_ms = 5000;
   return options;
+}
+
+/// An in-process admin plane over this process's metrics registry — the
+/// same surface `tcvsd --admin-port` serves. Null on failure.
+std::unique_ptr<net::HttpAdminServer> StartAdmin() {
+  auto admin = net::HttpAdminServer::Start(net::HttpAdminServer::Options{});
+  if (!admin.ok()) return nullptr;
+  net::RegisterStandardEndpoints(admin->get(), net::AdminEndpointOptions{});
+  return std::move(admin).ValueOrDie();
+}
+
+/// One /varz scrape, parsed; fails unless it answered 200 with counters and
+/// histograms.
+Result<util::JsonValue> FetchVarz(uint16_t admin_port) {
+  TCVS_ASSIGN_OR_RETURN(net::HttpResponse resp,
+                        net::HttpGet("127.0.0.1", admin_port, "/varz"));
+  if (resp.status != 200) return Status::Unavailable("/varz not 200");
+  TCVS_ASSIGN_OR_RETURN(util::JsonValue root, util::ParseJson(resp.body));
+  if (root.Get("counters") == nullptr || root.Get("histograms") == nullptr) {
+    return Status::InvalidArgument("/varz without counters/histograms");
+  }
+  return root;
 }
 
 /// One server + worker pool serving an in-memory repository for the
@@ -282,46 +308,38 @@ TEST_F(ConcurrentServerTest, LostRepliesReplayIdempotentlyUnderConcurrency) {
 }
 
 TEST_F(ConcurrentServerTest, ConcurrentStatsSnapshotsStayConsistent) {
-  // Clients hammer the server while a poller thread pulls Stats snapshots
-  // mid-flight. Every snapshot must be internally consistent — the serve
-  // loop increments requests_total strictly before replies_total, so
-  // replies ≤ requests must hold in EVERY observation, not just at rest.
+  // Clients hammer the server while a poller thread scrapes /varz mid-
+  // flight. Every snapshot must be internally consistent — the serve loop
+  // increments requests_total strictly before replies_total, so replies ≤
+  // requests must hold in EVERY observation, not just at rest.
   util::MetricsRegistry::Instance().ResetForTesting();
-
-  auto counter_of = [](const util::MetricsSnapshot& snap,
-                       const std::string& name) -> uint64_t {
-    auto it = snap.counters.find(name);
-    return it == snap.counters.end() ? 0 : it->second;
-  };
+  auto admin = StartAdmin();
+  ASSERT_NE(admin, nullptr);
+  const uint16_t admin_port = admin->port();
 
   std::atomic<int> failures{0};
   std::atomic<bool> done{false};
   std::atomic<uint64_t> snapshots_taken{0};
 
   std::thread poller([&] {
-    auto remote =
-        rpc::RemoteServer::Connect("127.0.0.1", port_, FastRetryOptions());
-    if (!remote.ok()) {
-      ++failures;
-      return;
-    }
     while (!done.load(std::memory_order_relaxed)) {
-      auto snap = (*remote)->Stats();
-      if (!snap.ok()) {
+      auto varz = FetchVarz(admin_port);
+      if (!varz.ok()) {
         ++failures;
         return;
       }
       ++snapshots_taken;
-      const uint64_t requests = counter_of(*snap, "rpc.serve.requests_total");
-      const uint64_t replies = counter_of(*snap, "rpc.serve.replies_total");
+      const util::JsonValue& counters = *varz->Get("counters");
+      const uint64_t requests = counters.GetU64("rpc.serve.requests_total");
+      const uint64_t replies = counters.GetU64("rpc.serve.replies_total");
       if (replies > requests) {
         ++failures;
         return;
       }
       const uint64_t hits =
-          counter_of(*snap, "rpc.serve.reply_cache.hits_total");
+          counters.GetU64("rpc.serve.reply_cache.hits_total");
       const uint64_t misses =
-          counter_of(*snap, "rpc.serve.reply_cache.misses_total");
+          counters.GetU64("rpc.serve.reply_cache.misses_total");
       if (hits + misses > requests) {
         ++failures;  // Every cache lookup belongs to a parsed request.
         return;
@@ -368,28 +386,27 @@ TEST_F(ConcurrentServerTest, ConcurrentStatsSnapshotsStayConsistent) {
 
   // The quiesced snapshot carries non-zero values for every instrumented
   // layer the workload exercised: RPC serve/client, reply cache, per-method
-  // counts, Merkle-tree proof building, client-side VO verification, and
-  // the hash engine underneath it all.
-  auto remote =
-      rpc::RemoteServer::Connect("127.0.0.1", port_, FastRetryOptions());
-  ASSERT_TRUE(remote.ok());
-  auto snap = (*remote)->Stats();
-  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  // counts, the admin plane itself, Merkle-tree proof building, client-side
+  // VO verification, and the hash engine underneath it all.
+  auto varz = FetchVarz(admin_port);
+  ASSERT_TRUE(varz.ok()) << varz.status().ToString();
+  const util::JsonValue& counters = *varz->Get("counters");
 
   const uint64_t expected_transactions =
       static_cast<uint64_t>(kClients) * kIterations * 2;  // Commit + Checkout.
-  EXPECT_GE(counter_of(*snap, "rpc.serve.transact.requests_total"),
+  EXPECT_GE(counters.GetU64("rpc.serve.transact.requests_total"),
             expected_transactions);
-  EXPECT_GT(counter_of(*snap, "rpc.serve.requests_total"), 0u);
-  EXPECT_GT(counter_of(*snap, "rpc.serve.stats.requests_total"), 0u);
-  EXPECT_GT(counter_of(*snap, "rpc.serve.reply_cache.insertions_total"), 0u);
-  EXPECT_GT(counter_of(*snap, "cvs.server.transactions_total"), 0u);
-  EXPECT_GT(counter_of(*snap, "crypto.sha256.hashes_total"), 0u);
-  EXPECT_GT(counter_of(*snap, "net.bytes_sent_total"), 0u);
+  EXPECT_GT(counters.GetU64("rpc.serve.requests_total"), 0u);
+  EXPECT_GT(counters.GetU64("http.admin.varz.requests_total"), 0u);
+  EXPECT_GT(counters.GetU64("rpc.serve.reply_cache.insertions_total"), 0u);
+  EXPECT_GT(counters.GetU64("cvs.server.transactions_total"), 0u);
+  EXPECT_GT(counters.GetU64("crypto.sha256.hashes_total"), 0u);
+  EXPECT_GT(counters.GetU64("net.bytes_sent_total"), 0u);
 
+  const util::JsonValue& hists = *varz->Get("histograms");
   auto hist_count = [&](const std::string& name) -> uint64_t {
-    auto it = snap->histograms.find(name);
-    return it == snap->histograms.end() ? 0 : it->second.count();
+    const util::JsonValue* h = hists.Get(name);
+    return h == nullptr ? 0 : h->GetU64("count");
   };
   EXPECT_GT(hist_count("rpc.serve.handle_frame.latency_us"), 0u);
   EXPECT_GT(hist_count("mtree.tree.upsert.latency_us"), 0u);
@@ -406,6 +423,8 @@ TEST_F(ConcurrentServerTest, TracePropagatesFromEveryClientIntoServerSpans) {
   reg.ResetForTesting();
   reg.set_trace_capacity(size_t{1} << 15);  // Headroom for every span.
   reg.set_trace_enabled(true);
+  auto admin = StartAdmin();
+  ASSERT_NE(admin, nullptr);
 
   std::atomic<int> failures{0};
   auto client_body = [&](int idx) {
@@ -438,36 +457,62 @@ TEST_F(ConcurrentServerTest, TracePropagatesFromEveryClientIntoServerSpans) {
   for (auto& t : clients) t.join();
   ASSERT_EQ(failures.load(), 0);
 
-  // Drain through the kTraceDump RPC — the same path `tcvs trace` uses.
-  auto remote =
-      rpc::RemoteServer::Connect("127.0.0.1", port_, FastRetryOptions());
-  ASSERT_TRUE(remote.ok());
-  auto dump = (*remote)->TraceDump();
+  // Drain through /tracez — the same path `tcvs trace` uses.
+  auto tracez = net::HttpGet("127.0.0.1", admin->port(), "/tracez");
   reg.set_trace_enabled(false);
-  ASSERT_TRUE(dump.ok()) << dump.status().ToString();
+  ASSERT_TRUE(tracez.ok()) << tracez.status().ToString();
+  ASSERT_EQ(tracez->status, 200);
+  const std::string& json = tracez->body;
+  auto parsed = util::ParseJson(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const util::JsonValue* trace_events = parsed->Get("traceEvents");
+  ASSERT_NE(trace_events, nullptr);
+  ASSERT_TRUE(trace_events->is_array());
+
+  // Decode each Chrome trace event, 16-hex-digit ids included.
+  using Span = util::TraceDump::Event;
+  auto hex_arg = [](const util::JsonValue& args, const char* key) {
+    const util::JsonValue* v = args.Get(key);
+    return v != nullptr && v->is_string()
+               ? std::strtoull(v->string().c_str(), nullptr, 16)
+               : 0;
+  };
+  std::vector<Span> spans;
+  for (const util::JsonValue& e : trace_events->array()) {
+    const util::JsonValue* name = e.Get("name");
+    const util::JsonValue* args = e.Get("args");
+    ASSERT_TRUE(name != nullptr && name->is_string() && args != nullptr);
+    Span span;
+    span.name = name->string();
+    span.start_us = e.GetU64("ts");
+    span.duration_us = e.GetU64("dur");
+    span.trace_id = hex_arg(*args, "trace_id");
+    span.span_id = hex_arg(*args, "span_id");
+    span.parent_span_id = hex_arg(*args, "parent_span_id");
+    spans.push_back(std::move(span));
+  }
 
   // Index the client-side RPC spans (calls and connect handshakes) by span
   // id; collect the server handler spans.
-  std::map<uint64_t, const util::TraceDump::Event*> client_spans;
-  std::vector<const util::TraceDump::Event*> server_spans;
-  for (const auto& e : dump->events) {
+  std::map<uint64_t, const Span*> client_spans;
+  std::vector<const Span*> server_spans;
+  for (const Span& e : spans) {
     if (e.name == "rpc.client.call" || e.name == "rpc.client.connect") {
       client_spans[e.span_id] = &e;
     }
     if (e.name == "rpc.serve.handle_frame") server_spans.push_back(&e);
   }
-  // Every commit/checkout produced one client span + one server span (the
-  // in-flight TraceDump call itself is still open, so it is in neither).
+  // Every commit/checkout produced one client span + one server span.
   const size_t expected = size_t{kClients} * kIterations * 2;
   EXPECT_GE(client_spans.size(), expected);
   ASSERT_GE(server_spans.size(), expected);
 
-  for (const auto* server : server_spans) {
+  for (const Span* server : server_spans) {
     EXPECT_NE(server->trace_id, 0u);
     auto parent = client_spans.find(server->parent_span_id);
     ASSERT_NE(parent, client_spans.end())
         << "server span has no issuing client RPC span";
-    const auto* client = parent->second;
+    const Span* client = parent->second;
     EXPECT_EQ(server->trace_id, client->trace_id)
         << "handler must join the caller's trace, not start its own";
     // Same process, same clock: the handler runs strictly inside the
@@ -486,7 +531,6 @@ TEST_F(ConcurrentServerTest, TracePropagatesFromEveryClientIntoServerSpans) {
   // The export is structurally valid Chrome trace JSON: one object, every
   // brace/bracket balanced outside strings, ids as quoted hex (64-bit ids
   // as bare JSON numbers would silently lose precision past 2^53).
-  const std::string json = dump->ChromeTraceJson();
   ASSERT_FALSE(json.empty());
   EXPECT_EQ(json.front(), '{');
   int depth = 0;
@@ -523,7 +567,7 @@ TEST_F(ConcurrentServerTest, TracePropagatesFromEveryClientIntoServerSpans) {
     prev_ts = ts;
     ++ts_seen;
   }
-  EXPECT_EQ(ts_seen, dump->events.size());
+  EXPECT_EQ(ts_seen, spans.size());
   reg.ResetForTesting();
 }
 

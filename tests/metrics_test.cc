@@ -1,7 +1,8 @@
 // Tests for the util::MetricsRegistry observability layer: registry
 // get-or-create semantics, exact counting under contention (run under TSan
 // via the tsan preset — names contain "Concurrent" to match TSAN_FILTER),
-// the trace ring buffer, and the snapshot exposition/serde formats.
+// the trace ring buffer, and the snapshot exposition formats (Prometheus
+// text, and the /varz JSON whose histogram buckets parse back exactly).
 
 #include "util/metrics.h"
 
@@ -14,8 +15,8 @@
 #include <thread>
 #include <vector>
 
-#include "util/bytes.h"
 #include "util/histogram.h"
+#include "util/jsonish.h"
 
 namespace tcvs {
 namespace util {
@@ -278,30 +279,6 @@ TEST_F(MetricsTest, TraceCapacityIsClampedAndResizes) {
   EXPECT_EQ(reg.trace_capacity(), MetricsRegistry::kTraceCapacity);
 }
 
-TEST_F(MetricsTest, TraceDumpSerializeRoundTrips) {
-  TraceDump dump;
-  TraceDump::Event e;
-  e.name = "test.metrics.dump_span";
-  e.start_us = 10;
-  e.duration_us = 5;
-  e.thread = 3;
-  e.trace_id = 0xAABBCCDDEEFF0011ull;
-  e.span_id = 2;
-  e.parent_span_id = 1;
-  dump.events.push_back(e);
-  auto back = TraceDump::Deserialize(dump.Serialize());
-  ASSERT_TRUE(back.ok());
-  ASSERT_EQ(back->events.size(), 1u);
-  EXPECT_EQ(back->events[0].name, "test.metrics.dump_span");
-  EXPECT_EQ(back->events[0].start_us, 10u);
-  EXPECT_EQ(back->events[0].duration_us, 5u);
-  EXPECT_EQ(back->events[0].thread, 3u);
-  EXPECT_EQ(back->events[0].trace_id, 0xAABBCCDDEEFF0011ull);
-  EXPECT_EQ(back->events[0].span_id, 2u);
-  EXPECT_EQ(back->events[0].parent_span_id, 1u);
-  EXPECT_FALSE(TraceDump::Deserialize(util::ToBytes("garbage")).ok());
-}
-
 TEST_F(MetricsTest, ChromeTraceJsonHasCompleteEvents) {
   MetricsRegistry& reg = MetricsRegistry::Instance();
   reg.set_trace_enabled(true);
@@ -358,37 +335,73 @@ TEST_F(MetricsTest, JsonFormatIsSingleLineWithAllSections) {
   EXPECT_NE(json.find("\"count\":1"), std::string::npos);
 }
 
-TEST_F(MetricsTest, SnapshotSerializeRoundTrips) {
+// The /varz body carries every histogram's sparse buckets, and reading
+// them back yields the same histogram — the contract `tcvs top`'s interval
+// quantiles (DeltaSince over two scrapes) rely on.
+TEST_F(MetricsTest, VarzHistogramBucketsParseBackToSameQuantiles) {
   MetricsRegistry& reg = MetricsRegistry::Instance();
-  reg.GetCounter("test.serde.a_total")->Increment(123);
-  reg.GetCounter("test.serde.b_total")->Increment(456);
-  reg.GetGauge("test.serde.depth")->Set(-7);
-  LatencyHistogram* l = reg.GetLatency("test.serde.latency_us");
+  LatencyHistogram* l = reg.GetLatency("test.varz.latency_us");
   for (uint64_t v = 0; v < 1000; v += 7) l->Record(v);
+  l->Record(1u << 30);  // A far outlier in a high bucket.
+  reg.GetLatency("test.varz.empty_us");
 
-  MetricsSnapshot before = reg.Snapshot();
-  auto after = MetricsSnapshot::Deserialize(before.Serialize());
-  ASSERT_TRUE(after.ok()) << after.status().ToString();
-
-  EXPECT_EQ(after->counters, before.counters);
-  EXPECT_EQ(after->gauges, before.gauges);
-  ASSERT_EQ(after->histograms.size(), before.histograms.size());
+  const MetricsSnapshot before = reg.Snapshot();
+  auto root = ParseJson(before.JsonFormat());
+  ASSERT_TRUE(root.ok()) << root.status().ToString();
+  const JsonValue* hists = root->Get("histograms");
+  ASSERT_NE(hists, nullptr);
+  ASSERT_EQ(hists->object().size(), before.histograms.size());
   for (const auto& [name, hist] : before.histograms) {
-    auto it = after->histograms.find(name);
-    ASSERT_NE(it, after->histograms.end()) << name;
-    EXPECT_EQ(it->second.count(), hist.count()) << name;
-    EXPECT_EQ(it->second.sum(), hist.sum()) << name;
-    EXPECT_EQ(it->second.min(), hist.min()) << name;
-    EXPECT_EQ(it->second.max(), hist.max()) << name;
-    EXPECT_EQ(it->second.Quantile(0.5), hist.Quantile(0.5)) << name;
-    EXPECT_EQ(it->second.Quantile(0.99), hist.Quantile(0.99)) << name;
+    const JsonValue* json = hists->Get(name);
+    ASSERT_NE(json, nullptr) << name;
+    auto back = Histogram::FromJson(*json);
+    ASSERT_TRUE(back.ok()) << name << ": " << back.status().ToString();
+    EXPECT_EQ(back->count(), hist.count()) << name;
+    EXPECT_EQ(back->sum(), hist.sum()) << name;
+    EXPECT_EQ(back->min(), hist.min()) << name;
+    EXPECT_EQ(back->max(), hist.max()) << name;
+    for (double q : {0.0, 0.5, 0.9, 0.99, 1.0}) {
+      EXPECT_EQ(back->Quantile(q), hist.Quantile(q)) << name << " q=" << q;
+    }
+    // Interval quantiles survive too: diffing the parsed copy gives what
+    // diffing the original gives.
+    EXPECT_EQ(back->DeltaSince(Histogram()).p99(),
+              hist.DeltaSince(Histogram()).p99())
+        << name;
   }
 }
 
-TEST_F(MetricsTest, DeserializeRejectsGarbage) {
-  Bytes garbage = {0xff, 0xff, 0xff, 0xff, 0x01, 0x02};
-  EXPECT_FALSE(MetricsSnapshot::Deserialize(garbage).ok());
-  EXPECT_FALSE(MetricsSnapshot::Deserialize(Bytes{}).ok());
+TEST_F(MetricsTest, VarzHistogramRejectsMalformedBuckets) {
+  auto parse = [](const std::string& text) -> Status {
+    auto json = ParseJson(text);
+    if (!json.ok()) return json.status();
+    return Histogram::FromJson(*json).status();
+  };
+  EXPECT_TRUE(parse(R"({"count":3,"sum":6,"min":1,"max":3,)"
+                    R"("buckets":[[1,1],[2,1],[3,1]]})")
+                  .ok());
+  // Bucket counts must sum to `count`.
+  EXPECT_FALSE(parse(R"({"count":4,"sum":6,"min":1,"max":3,)"
+                     R"("buckets":[[1,1],[2,1],[3,1]]})")
+                   .ok());
+  // Bucket index must be an integer below the bucket count (257).
+  EXPECT_FALSE(
+      parse(R"({"count":1,"sum":1,"min":1,"max":1,"buckets":[[257,1]]})").ok());
+  EXPECT_FALSE(
+      parse(R"({"count":1,"sum":1,"min":1,"max":1,"buckets":[[-1,1]]})").ok());
+  EXPECT_FALSE(
+      parse(R"({"count":1,"sum":1,"min":1,"max":1,"buckets":[[1.5,1]]})").ok());
+  // Entries must be [index,count] pairs of numbers.
+  EXPECT_FALSE(
+      parse(R"({"count":1,"sum":1,"min":1,"max":1,"buckets":[[1]]})").ok());
+  EXPECT_FALSE(
+      parse(R"({"count":1,"sum":1,"min":1,"max":1,"buckets":[["1",1]]})")
+          .ok());
+  EXPECT_FALSE(
+      parse(R"({"count":1,"sum":1,"min":1,"max":1,"buckets":[1,1]})").ok());
+  // The bucket array itself is required.
+  EXPECT_FALSE(parse(R"({"count":0,"sum":0,"min":0,"max":0})").ok());
+  EXPECT_FALSE(parse(R"({"count":0,"buckets":{}})").ok());
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "rpc/protocol.h"
 #include "rpc/remote.h"
 #include "util/random.h"
+#include "util/serde.h"
 
 namespace tcvs {
 namespace {
@@ -110,6 +111,45 @@ TEST(RpcProtocolTest, RequestRoundTrip) {
   EXPECT_EQ(got.ops[0].path, "a.c");
   EXPECT_EQ(got.ops[0].base_revision, 3u);
   EXPECT_EQ(got.ops[1].kind, cvs::FileOp::Kind::kCheckout);
+}
+
+// One request wire version: the first byte must be kRpcWireVersion. A
+// foreign version byte, or an old-layout frame that starts directly with a
+// type tag, is InvalidArgument — never misparsed as some other request.
+TEST(RpcProtocolTest, ForeignWireVersionRejected) {
+  rpc::RpcRequest req;
+  req.type = rpc::RpcType::kList;
+  req.user = 9;
+  req.prefix = "dir/";
+  req.request_id = 77;
+  req.trace_id = 0x1234;
+  const Bytes wire = req.Serialize();
+  ASSERT_EQ(wire.front(), rpc::kRpcWireVersion);
+  auto back = rpc::RpcRequest::Deserialize(wire);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back->untrusted().request_id, 77u);
+  EXPECT_EQ(back->untrusted().trace_id, 0x1234u);
+
+  for (int version = 0; version <= 0xFF; ++version) {
+    if (version == rpc::kRpcWireVersion) continue;
+    Bytes foreign = wire;
+    foreign[0] = static_cast<uint8_t>(version);
+    auto parsed = rpc::RpcRequest::Deserialize(foreign);
+    EXPECT_TRUE(parsed.status().IsInvalidArgument()) << "version " << version;
+  }
+
+  // The v1 layout: type byte first, no version, no trace context.
+  for (uint8_t type = 1; type <= 9; ++type) {
+    util::Writer v1;
+    v1.PutU8(type);
+    v1.PutU32(9);  // user
+    v1.PutU32(0);  // no ops
+    v1.PutString("dir/");
+    v1.PutU64(0);   // old_size
+    v1.PutU64(77);  // request_id
+    auto parsed = rpc::RpcRequest::Deserialize(v1.Take());
+    EXPECT_TRUE(parsed.status().IsInvalidArgument()) << "v1 type " << +type;
+  }
 }
 
 TEST(RpcProtocolTest, ResponseCarriesStatus) {

@@ -11,10 +11,10 @@
 #                 per .clang-tidy) over src/ and tools/
 #                 [SKIPPED with a notice when clang-tidy is not installed —
 #                  gcc-only containers still run stages 1-3 and 5]
-#   5. stats      observability smoke: live tcvsd + real traffic, then the
-#                 Stats RPC must report non-zero metrics from every
-#                 instrumented layer and --log-json must emit parseable
-#                 JSON lines
+#   5. stats      observability smoke: live tcvsd (with --admin-port) +
+#                 real traffic, then `tcvs --admin … stats` (/metrics) must
+#                 report non-zero metrics from every instrumented layer and
+#                 --log-json must emit parseable JSON lines
 #   5b. obs       HTTP observability-plane smoke: live tcvsd with
 #                 --admin-port + --slow-op-us armed; every admin endpoint
 #                 (/metrics /varz /healthz /readyz /statusz /tracez
@@ -30,7 +30,7 @@
 #                 folded profile naming the SHA-256 hash path, /lockz must
 #                 show recorded waits, the per-method queue/work/fsync
 #                 decomposition must sum to the latency histogram within
-#                 10%, `tcvs profile` must round-trip the kProfile RPC, and
+#                 10%, `tcvs profile` must round-trip /pprofz, and
 #                 bench_profiler_overhead must hold its committed <=3%
 #                 baseline
 #   6. bench      bench-output smoke: the fast table benches must emit valid
@@ -290,28 +290,31 @@ stage_perf() {
   run_stage perf perf_smoke
 }
 
-# Live observability smoke: start tcvsd, drive real commits/reads through
-# tcvs, then assert `tcvs stats` reports non-zero metrics from the RPC,
+# Live observability smoke: start tcvsd with the admin plane, drive real
+# commits/reads through tcvs, then assert `tcvs --admin … stats` (the
+# /metrics body) reports non-zero metrics from the RPC, admin-plane,
 # storage, Merkle-tree, and crypto layers, and that --log-json produced
 # parseable JSON-lines on stderr.
 stats_smoke() {
-  local tmp port="" daemon rc=1
+  local tmp port="" aport="" daemon rc=1
   tmp=$(mktemp -d) || return 1
   mkdir -p "$tmp/data"
-  ./build/tools/tcvsd --port 0 --data-dir "$tmp/data" \
+  ./build/tools/tcvsd --port 0 --admin-port 0 --data-dir "$tmp/data" \
       --log-json --log-json-interval-ms 200 \
       > "$tmp/tcvsd.out" 2> "$tmp/tcvsd.err" &
   daemon=$!
   while :; do  # Single-pass; break is the error exit.
     for _ in $(seq 1 100); do
-      port=$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' \
+      port=$(sed -n 's/^tcvsd listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' \
              "$tmp/tcvsd.out")
-      [ -n "$port" ] && break
+      aport=$(sed -n 's/^tcvsd admin listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' \
+              "$tmp/tcvsd.out")
+      [ -n "$port" ] && [ -n "$aport" ] && break
       kill -0 "$daemon" 2>/dev/null || break
       sleep 0.2
     done
-    if [ -z "$port" ]; then
-      echo "stats: tcvsd never reported its port" >&2
+    if [ -z "$port" ] || [ -z "$aport" ]; then
+      echo "stats: tcvsd never reported its ports" >&2
       cat "$tmp/tcvsd.out" "$tmp/tcvsd.err" >&2
       break
     fi
@@ -319,11 +322,12 @@ stats_smoke() {
     $cli --user 1 --state "$tmp/state" commit a/hello 0 "hello world" || break
     $cli --user 1 --state "$tmp/state" cat a/hello > /dev/null || break
     $cli --user 1 --state "$tmp/state" ls a/ > /dev/null || break
-    $cli stats > "$tmp/stats.txt" || break
+    ./build/tools/tcvs --admin "127.0.0.1:$aport" stats > "$tmp/stats.txt" \
+        || break
     local metric missing=""
     for metric in tcvs_rpc_serve_requests_total \
                   tcvs_rpc_serve_transact_requests_total \
-                  tcvs_rpc_serve_stats_requests_total \
+                  tcvs_http_admin_metrics_requests_total \
                   tcvs_rpc_serve_reply_cache_insertions_total \
                   tcvs_storage_wal_appends_total \
                   tcvs_mtree_tree_upsert_latency_us_count \
@@ -496,7 +500,7 @@ stage_obs() {
 # the folded profile parses and names the SHA-256 hash path, /lockz shows
 # recorded waits including the serve loop's locks, the per-method
 # queue/work/fsync decomposition sums to the latency histogram within 10%,
-# `tcvs profile` round-trips the kProfile RPC, and bench_profiler_overhead
+# `tcvs profile` round-trips /pprofz, and bench_profiler_overhead
 # holds its committed <=3% baseline.
 prof_smoke() {
   local tmp port="" aport="" daemon rc=1
@@ -590,13 +594,20 @@ assert drift <= 0.10, (
 print(f"prof: {total} samples, {len(hot)} hot hash/sig stacks, "
       f"{len(waited)} wait sites, decomposition within {100 * drift:.2f}%")
 PYEOF
-    # The kProfile RPC end to end, while the committers are still running.
-    ./build/tools/tcvs --server "127.0.0.1:$port" profile --seconds 1 \
-        --hz 100 > "$tmp/rpc_folded.txt" 2> /dev/null || {
+    # `tcvs profile` end to end through /pprofz, while the committers are
+    # still running: it must print parseable folded stacks.
+    ./build/tools/tcvs --admin "127.0.0.1:$aport" profile --seconds 1 \
+        --hz 100 > "$tmp/cli_folded.txt" 2> /dev/null || {
       echo "prof: tcvs profile failed" >&2
       wait "${pids[@]}" 2>/dev/null
       break
     }
+    if grep -qvE '^.+ [0-9]+$' "$tmp/cli_folded.txt"; then
+      echo "prof: tcvs profile printed a non-folded line:" >&2
+      grep -vE '^.+ [0-9]+$' "$tmp/cli_folded.txt" | head -5 >&2
+      wait "${pids[@]}" 2>/dev/null
+      break
+    fi
     local pid load_failed=0
     for pid in "${pids[@]}"; do
       wait "$pid" || load_failed=1

@@ -56,8 +56,7 @@ int main(int argc, char** argv) {
   }
   const mtree::MerkleBTree& tree = server.tree();
 
-  // rpc_request: one seed per RPC shape (v2 frames; Deserialize also
-  // accepts v1, which the fuzzer will discover by mutating the escape).
+  // rpc_request: one seed per payload-bearing RPC shape.
   {
     const fs::path dir = root / "rpc_request";
     rpc::RpcRequest transact;
@@ -83,11 +82,6 @@ int main(int argc, char** argv) {
     checkpoint.old_size = 7;
     checkpoint.request_id = 103;
     WriteSeed(dir, "log_checkpoint.bin", checkpoint.Serialize());
-
-    rpc::RpcRequest stats;
-    stats.type = rpc::RpcType::kStats;
-    stats.request_id = 104;
-    WriteSeed(dir, "stats.bin", stats.Serialize());
   }
 
   // rpc_response: ok-with-payload, ok-empty, and an error status.

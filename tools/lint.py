@@ -69,8 +69,9 @@ Rules (each violation prints `file:line: [rule] message`; exit 1 if any):
                  (`rpc.client.<method>.latency_us`) and a per-method serve
                  counter (`rpc.serve.<method>.requests_total`) registered as
                  literals in src/rpc/remote.cc. A new RPC added without its
-                 metric pair is invisible in `tcvs stats` — exactly the op
-                 you'll want latencies for when it misbehaves.
+                 metric pair is invisible on /metrics and /varz (and so in
+                 `tcvs stats` and `tcvs top`) — exactly the op you'll want
+                 latencies for when it misbehaves.
 
   audit-event    security audit events are typed: every AuditEventKind
                  enumerator in src/util/audit.h must be emitted (referenced

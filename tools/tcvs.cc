@@ -2,7 +2,8 @@
 //
 // Talks to a `tcvsd` server, verifying every reply (Merkle proofs, local
 // replay, counter monotonicity) and folding it into the user's 32-byte
-// Protocol II registers, persisted in a state file between invocations.
+// Protocol II registers, persisted in a state file between invocations
+// (each write is an atomic, fsynced replace: storage::AtomicWriteFile).
 //
 // Usage:
 //   tcvs --server HOST:PORT --user N --state FILE checkout PATH
@@ -14,20 +15,23 @@
 //   tcvs --state FILE state                # print the registers
 //   tcvs check STATE_FILE...               # offline sync-up over state files
 //   tcvs --server HOST:PORT shutdown
-//   tcvs --server HOST:PORT stats   # live server metrics (Prometheus text)
-//   tcvs --server HOST:PORT trace   # drain server spans (Chrome trace JSON)
-//   tcvs --server HOST:PORT events [--json]   # security audit-event log
-//   tcvs --server HOST:PORT top [--interval-ms MS] [--frames N]
-//   tcvs top --admin HOST:PORT [--interval-ms MS] [--frames N]
-//   tcvs --server HOST:PORT profile [--seconds N] [--hz N]
+//   tcvs --admin HOST:PORT stats     # live server metrics (Prometheus text)
+//   tcvs --admin HOST:PORT trace     # drain server spans (Chrome trace JSON)
+//   tcvs --admin HOST:PORT events [--json]   # security audit-event log
+//   tcvs --admin HOST:PORT top [--interval-ms MS] [--frames N]
+//   tcvs --admin HOST:PORT profile [--seconds N] [--hz N]
 //
-// `top` diffs two metrics snapshots an interval apart and prints per-RPC-
-// method QPS, latency quantiles, the queue/work/fsync latency decomposition
-// (QUEUE/OP + WORK/OP + FSYNC/OP ≈ the latency mean), and cost-per-op
-// (hashes, signature verifies, VO bytes, WAL appends). Against the Stats
-// RPC it diffs full histograms, so quantiles are for the INTERVAL; with
-// --admin it scrapes the admin plane's /varz (no RPC port needed — works
-// while the serve pool is saturated), where quantiles are cumulative.
+// The observability verbs are clients of tcvsd's HTTP admin plane
+// (`tcvsd --admin-port N`): stats reads /metrics, trace drains /tracez,
+// events reads /eventsz, profile reads /pprofz?fmt=folded, and top diffs
+// /varz. They never touch the RPC port, so they work while the serve pool
+// is saturated and never wait on the serve loop's execution lock.
+//
+// `top` diffs two /varz snapshots an interval apart and prints per-RPC-
+// method QPS, interval latency quantiles (from the histograms' buckets),
+// the queue/work/fsync latency decomposition (QUEUE/OP + WORK/OP +
+// FSYNC/OP ≈ the latency mean), and cost-per-op (hashes, signature
+// verifies, VO bytes, WAL appends).
 //
 // `profile` collects a CPU profile window on the SERVER (sampling profiler,
 // SIGPROF) and prints folded/collapsed stacks to stdout — pipe through
@@ -43,14 +47,14 @@
 // the local cache sidecar (STATE.cache) instead of aborting — read-only,
 // possibly stale, never unverified. Mutations fail with Unavailable.
 //
-// Exit codes: 0 success, 1 operation error, 3 SERVER DEVIATION DETECTED.
+// Exit codes: 0 success, 1 operation error, 2 usage (including a port that
+// is not a number in 0..65535), 3 SERVER DEVIATION DETECTED.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <functional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -59,30 +63,15 @@
 #include "cvs/trusted.h"
 #include "net/http_admin.h"
 #include "rpc/remote.h"
-#include "util/audit.h"
+#include "storage/wal.h"
 #include "util/bytes.h"
 #include "util/jsonish.h"
 #include "util/metrics.h"
+#include "util/profiler.h"
 
 using namespace tcvs;
 
 namespace {
-
-Result<Bytes> ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path);
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  return util::ToBytes(data);
-}
-
-Status WriteFile(const std::string& path, const Bytes& data) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IOError("cannot write " + path);
-  out.write(reinterpret_cast<const char*>(data.data()),
-            static_cast<std::streamsize>(data.size()));
-  return out ? Status::OK() : Status::IOError("short write to " + path);
-}
 
 int Fail(const Status& status) {
   std::fprintf(stderr, "tcvs: %s\n", status.ToString().c_str());
@@ -93,12 +82,25 @@ int Usage() {
   std::fprintf(stderr,
                "usage: tcvs [--retries N] [--backoff-ms MS] [--timeout-ms MS] "
                "--server H:P --user N --state FILE "
-               "checkout|cat|commit|remove ... | state | check FILES... | "
-               "stats | trace | events [--json] | "
-               "top [--interval-ms MS] [--frames N] [--admin H:P] | "
-               "profile [--seconds N] [--hz N] | "
-               "shutdown\n");
+               "checkout|cat|commit|remove|ls|audit ... | state | "
+               "check FILES... | shutdown\n"
+               "       tcvs --admin H:P stats | trace | events [--json] | "
+               "top [--interval-ms MS] [--frames N] | "
+               "profile [--seconds N] [--hz N]\n");
   return 2;
+}
+
+/// Splits "HOST:PORT"; false when the colon is missing or the port is not
+/// a number in 0..65535.
+bool ParseHostPort(const std::string& addr, std::string* host,
+                   uint16_t* port) {
+  const size_t colon = addr.rfind(':');
+  if (colon == std::string::npos) return false;
+  auto parsed = net::ParsePort(addr.substr(colon + 1));
+  if (!parsed.ok()) return false;
+  *host = addr.substr(0, colon);
+  *port = *parsed;
+  return true;
 }
 
 std::string CachePath(const std::string& state_file) {
@@ -106,7 +108,7 @@ std::string CachePath(const std::string& state_file) {
 }
 
 cvs::LocalCache LoadCache(const std::string& state_file) {
-  auto data = ReadFile(CachePath(state_file));
+  auto data = storage::ReadFileBytes(CachePath(state_file));
   if (!data.ok()) return {};
   auto cache = cvs::LocalCache::Deserialize(*data);
   if (!cache.ok()) return {};  // Corrupt cache: start over; it is only a cache.
@@ -155,36 +157,25 @@ int ServeDegraded(const std::string& cmd, const std::vector<std::string>& args,
   return Fail(why);
 }
 
-/// One `tcvs top` observation, from either source: the Stats RPC carries
-/// full histograms (bucket-accurate interval quantiles via DeltaSince);
-/// /varz carries only the cumulative summary stats.
-struct TopSnapshot {
-  std::map<std::string, uint64_t> counters;
-  std::map<std::string, util::Histogram> histograms;
-  struct VarzHist {
-    uint64_t p50 = 0;
-    uint64_t p99 = 0;
-  };
-  std::map<std::string, VarzHist> varz_hists;
-};
-
-Result<TopSnapshot> TopFromStats(rpc::RemoteServer* remote) {
-  TCVS_ASSIGN_OR_RETURN(util::MetricsSnapshot snap, remote->Stats());
-  TopSnapshot out;
-  out.counters = std::move(snap.counters);
-  out.histograms = std::move(snap.histograms);
-  return out;
+/// An admin-plane endpoint's body; any status but 200 is an error.
+Result<std::string> AdminGet(const std::string& host, uint16_t port,
+                             const std::string& path, int timeout_ms) {
+  TCVS_ASSIGN_OR_RETURN(net::HttpResponse resp,
+                        net::HttpGet(host, port, path, timeout_ms));
+  if (resp.status != 200) {
+    return Status::Unavailable(path + " answered HTTP " +
+                               std::to_string(resp.status) + ": " + resp.body);
+  }
+  return std::move(resp.body);
 }
 
-Result<TopSnapshot> TopFromVarz(const std::string& host, uint16_t port) {
-  TCVS_ASSIGN_OR_RETURN(net::HttpResponse resp,
-                        net::HttpGet(host, port, "/varz"));
-  if (resp.status != 200) {
-    return Status::Unavailable("/varz answered HTTP " +
-                               std::to_string(resp.status));
-  }
-  TCVS_ASSIGN_OR_RETURN(util::JsonValue root, util::ParseJson(resp.body));
-  TopSnapshot out;
+/// One `tcvs top` observation: the counters and full histograms of /varz.
+Result<util::MetricsSnapshot> FetchVarz(const std::string& host, uint16_t port,
+                                        int timeout_ms) {
+  TCVS_ASSIGN_OR_RETURN(std::string body,
+                        AdminGet(host, port, "/varz", timeout_ms));
+  TCVS_ASSIGN_OR_RETURN(util::JsonValue root, util::ParseJson(body));
+  util::MetricsSnapshot out;
   if (const util::JsonValue* counters = root.Get("counters")) {
     for (const auto& [name, v] : counters->object()) {
       if (v.is_number()) out.counters[name] = v.AsU64();
@@ -192,13 +183,19 @@ Result<TopSnapshot> TopFromVarz(const std::string& host, uint16_t port) {
   }
   if (const util::JsonValue* hists = root.Get("histograms")) {
     for (const auto& [name, h] : hists->object()) {
-      out.varz_hists[name] = {h.GetU64("p50"), h.GetU64("p99")};
+      auto hist = util::Histogram::FromJson(h);
+      if (!hist.ok()) {
+        return Status::InvalidArgument("/varz histogram " + name + ": " +
+                                       hist.status().ToString());
+      }
+      out.histograms.emplace(name, std::move(hist).ValueOrDie());
     }
   }
   return out;
 }
 
-uint64_t CounterDelta(const TopSnapshot& prev, const TopSnapshot& cur,
+uint64_t CounterDelta(const util::MetricsSnapshot& prev,
+                      const util::MetricsSnapshot& cur,
                       const std::string& name) {
   auto c = cur.counters.find(name);
   if (c == cur.counters.end()) return 0;
@@ -207,12 +204,10 @@ uint64_t CounterDelta(const TopSnapshot& prev, const TopSnapshot& cur,
   return c->second >= before ? c->second - before : 0;
 }
 
-void PrintTopFrame(const TopSnapshot& prev, const TopSnapshot& cur,
-                   double dt_seconds) {
-  static const char* kMethods[] = {"transact",       "get_params", "shutdown",
-                                   "list",           "log_checkpoint",
-                                   "stats",          "trace_dump", "events",
-                                   "profile"};
+void PrintTopFrame(const util::MetricsSnapshot& prev,
+                   const util::MetricsSnapshot& cur, double dt_seconds) {
+  static const char* kMethods[] = {"transact", "get_params", "shutdown",
+                                   "list", "log_checkpoint"};
   // QUEUE/WORK/FSYNC first — they decompose the latency column (queue +
   // work + fsync = latency per request) — then the per-op work counters.
   static const char* kCostKeys[] = {"queue_us",     "work_us",
@@ -224,7 +219,6 @@ void PrintTopFrame(const TopSnapshot& prev, const TopSnapshot& cur,
                                        "HSH/OP",   "BH/OP",   "SIG/OP",
                                        "VOB/OP",   "WAL/OP"};
   constexpr size_t kNumCost = sizeof(kCostKeys) / sizeof(kCostKeys[0]);
-  const bool interval_quantiles = !cur.histograms.empty();
   // Pad the METHOD column to the longest method name so the columns never
   // jitter when a long-named method (log_checkpoint) joins mid-session.
   static const int kMethodWidth = [] {
@@ -232,8 +226,7 @@ void PrintTopFrame(const TopSnapshot& prev, const TopSnapshot& cur,
     for (const char* m : kMethods) w = std::max(w, std::strlen(m));
     return static_cast<int>(w);
   }();
-  std::printf("-- %.1fs interval (%s quantiles) --\n", dt_seconds,
-              interval_quantiles ? "interval" : "cumulative /varz");
+  std::printf("-- %.1fs interval (interval quantiles) --\n", dt_seconds);
   std::printf("%-*s %8s %8s %8s", kMethodWidth, "METHOD", "QPS", "P50_US",
               "P99_US");
   for (const char* header : kCostHeaders) std::printf(" %9s", header);
@@ -244,24 +237,18 @@ void PrintTopFrame(const TopSnapshot& prev, const TopSnapshot& cur,
     const uint64_t ops = CounterDelta(prev, cur, base + ".requests_total");
     if (ops == 0) continue;
     ++rows;
-    uint64_t p50 = 0;
-    uint64_t p99 = 0;
+    util::Histogram delta;
     if (auto it = cur.histograms.find(base + ".latency_us");
         it != cur.histograms.end()) {
       auto before = prev.histograms.find(base + ".latency_us");
-      const util::Histogram delta = before == prev.histograms.end()
-                                        ? it->second
-                                        : it->second.DeltaSince(before->second);
-      p50 = delta.p50();
-      p99 = delta.p99();
-    } else if (auto it = cur.varz_hists.find(base + ".latency_us");
-               it != cur.varz_hists.end()) {
-      p50 = it->second.p50;
-      p99 = it->second.p99;
+      delta = before == prev.histograms.end()
+                  ? it->second
+                  : it->second.DeltaSince(before->second);
     }
     std::printf("%-*s %8.1f %8llu %8llu", kMethodWidth, method,
                 static_cast<double>(ops) / dt_seconds,
-                (unsigned long long)p50, (unsigned long long)p99);
+                (unsigned long long)delta.p50(),
+                (unsigned long long)delta.p99());
     // Cost-per-op columns; "-" for methods without cost instrumentation
     // (only execution-bearing RPCs charge the cost accumulator).
     const bool has_cost = cur.counters.count(base + ".cost.hashes_total") > 0;
@@ -270,40 +257,142 @@ void PrintTopFrame(const TopSnapshot& prev, const TopSnapshot& cur,
         std::printf(" %9s", "-");
         continue;
       }
-      const uint64_t delta = CounterDelta(
+      const uint64_t cost_delta = CounterDelta(
           prev, cur, base + ".cost." + kCostKeys[k] + "_total");
-      std::printf(" %9.1f", static_cast<double>(delta) / ops);
+      std::printf(" %9.1f", static_cast<double>(cost_delta) / ops);
     }
     std::printf("\n");
   }
   if (rows == 0) std::printf("(no RPCs served in the interval)\n");
 }
 
-int RunTop(const std::function<Result<TopSnapshot>()>& fetch, int interval_ms,
-           int frames) {
-  auto prev = fetch();
-  if (!prev.ok()) return Fail(prev.status());
-  for (int f = 0; f < frames; ++f) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
-    auto cur = fetch();
-    if (!cur.ok()) return Fail(cur.status());
-    PrintTopFrame(*prev, *cur, static_cast<double>(interval_ms) / 1000.0);
-    prev = std::move(cur);
+/// Prints the /eventsz JSON lines as the human-readable audit table.
+Status PrintEventsTable(const std::string& json_lines) {
+  std::printf("%-5s %-26s %-5s %-8s %-6s %-16s %s\n", "SEQ", "KIND", "USER",
+              "CTR", "EPOCH", "TRACE", "DETAIL");
+  size_t count = 0;
+  std::istringstream lines(json_lines);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.empty()) continue;
+    TCVS_ASSIGN_OR_RETURN(util::JsonValue e, util::ParseJson(line));
+    const util::JsonValue* kind = e.Get("kind");
+    const util::JsonValue* trace = e.Get("trace_id");
+    const util::JsonValue* detail = e.Get("detail");
+    if (kind == nullptr || !kind->is_string() || trace == nullptr ||
+        !trace->is_string() || detail == nullptr || !detail->is_string()) {
+      return Status::InvalidArgument("malformed /eventsz line: " + line);
+    }
+    std::printf("%-5llu %-26s %-5llu %-8llu %-6llu %-16s %s\n",
+                (unsigned long long)e.GetU64("seq"), kind->string().c_str(),
+                (unsigned long long)e.GetU64("user"),
+                (unsigned long long)e.GetU64("ctr"),
+                (unsigned long long)e.GetU64("epoch"),
+                trace->string().c_str(), detail->string().c_str());
+    ++count;
   }
-  return 0;
+  std::printf("%zu audit events\n", count);
+  return Status::OK();
+}
+
+/// Runs one observability verb (stats | trace | events | profile | top)
+/// against the admin plane at host:port.
+int RunAdminCommand(const std::vector<std::string>& args,
+                    const std::string& host, uint16_t port, int timeout_ms) {
+  const std::string& cmd = args[0];
+  if (cmd == "stats" || cmd == "trace") {
+    if (args.size() != 1) return Usage();
+    auto body = AdminGet(host, port, cmd == "stats" ? "/metrics" : "/tracez",
+                         timeout_ms);
+    if (!body.ok()) return Fail(body.status());
+    std::fwrite(body->data(), 1, body->size(), stdout);
+    return 0;
+  }
+  if (cmd == "events") {
+    bool json = false;
+    for (size_t i = 1; i < args.size(); ++i) {
+      if (args[i] != "--json") return Usage();
+      json = true;
+    }
+    auto body = AdminGet(host, port, "/eventsz", timeout_ms);
+    if (!body.ok()) return Fail(body.status());
+    if (json) {
+      std::fwrite(body->data(), 1, body->size(), stdout);
+      return 0;
+    }
+    Status st = PrintEventsTable(*body);
+    return st.ok() ? 0 : Fail(st);
+  }
+  if (cmd == "profile") {
+    int seconds = 5;
+    int hz = 100;
+    for (size_t i = 1; i < args.size(); ++i) {
+      if (args[i] == "--seconds" && i + 1 < args.size()) {
+        seconds = std::atoi(args[++i].c_str());
+      } else if (args[i] == "--hz" && i + 1 < args.size()) {
+        hz = std::atoi(args[++i].c_str());
+      } else {
+        return Usage();
+      }
+    }
+    // The server clamps the same way; clamping here sizes the deadline so
+    // the window is not misread as a hung server.
+    seconds = std::clamp(seconds, util::kMinProfileSeconds,
+                         util::kMaxProfileSeconds);
+    hz = std::clamp(hz, util::kMinProfileHz, util::kMaxProfileHz);
+    std::fprintf(stderr, "tcvs: profiling server for %ds at %d Hz...\n",
+                 seconds, hz);
+    auto folded = AdminGet(host, port,
+                           "/pprofz?fmt=folded&seconds=" +
+                               std::to_string(seconds) +
+                               "&hz=" + std::to_string(hz),
+                           timeout_ms + seconds * 1000);
+    if (!folded.ok()) return Fail(folded.status());
+    std::fwrite(folded->data(), 1, folded->size(), stdout);
+    return 0;
+  }
+  if (cmd == "top") {
+    int interval_ms = 1000;
+    int frames = 1;
+    for (size_t i = 1; i < args.size(); ++i) {
+      if (args[i] == "--interval-ms" && i + 1 < args.size()) {
+        interval_ms = std::atoi(args[++i].c_str());
+      } else if (args[i] == "--frames" && i + 1 < args.size()) {
+        frames = std::atoi(args[++i].c_str());
+      } else {
+        return Usage();
+      }
+    }
+    if (interval_ms <= 0 || frames <= 0) return Usage();
+    auto prev = FetchVarz(host, port, timeout_ms);
+    if (!prev.ok()) return Fail(prev.status());
+    for (int f = 0; f < frames; ++f) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
+      auto cur = FetchVarz(host, port, timeout_ms);
+      if (!cur.ok()) return Fail(cur.status());
+      PrintTopFrame(*prev, *cur, static_cast<double>(interval_ms) / 1000.0);
+      prev = std::move(cur);
+    }
+    return 0;
+  }
+  return Usage();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string server_addr;
+  std::string host = "127.0.0.1";
+  uint16_t port = 7199;
+  std::string admin_host;
+  uint16_t admin_port = 0;
   std::string state_file;
   uint32_t user = 0;
   rpc::RemoteOptions remote_options;
   std::vector<std::string> args;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--server") == 0 && i + 1 < argc) {
-      server_addr = argv[++i];
+      if (!ParseHostPort(argv[++i], &host, &port)) return Usage();
+    } else if (std::strcmp(argv[i], "--admin") == 0 && i + 1 < argc) {
+      if (!ParseHostPort(argv[++i], &admin_host, &admin_port)) return Usage();
     } else if (std::strcmp(argv[i], "--user") == 0 && i + 1 < argc) {
       user = static_cast<uint32_t>(std::atoi(argv[++i]));
     } else if (std::strcmp(argv[i], "--state") == 0 && i + 1 < argc) {
@@ -327,7 +416,7 @@ int main(int argc, char** argv) {
   if (cmd == "check") {
     std::vector<cvs::ClientState> states;
     for (size_t i = 1; i < args.size(); ++i) {
-      auto data = ReadFile(args[i]);
+      auto data = storage::ReadFileBytes(args[i]);
       if (!data.ok()) return Fail(data.status());
       auto state = cvs::ClientState::Deserialize(*data);
       if (!state.ok()) return Fail(state.status());
@@ -339,7 +428,7 @@ int main(int argc, char** argv) {
     return st.ok() ? 0 : 3;
   }
   if (cmd == "state") {
-    auto data = ReadFile(state_file);
+    auto data = storage::ReadFileBytes(state_file);
     if (!data.ok()) return Fail(data.status());
     auto state = cvs::ClientState::Deserialize(*data);
     if (!state.ok()) return Fail(state.status());
@@ -351,47 +440,14 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Networked commands.
-  std::string host = "127.0.0.1";
-  uint16_t port = 7199;
-  if (!server_addr.empty()) {
-    size_t colon = server_addr.rfind(':');
-    if (colon == std::string::npos) return Usage();
-    host = server_addr.substr(0, colon);
-    port = static_cast<uint16_t>(std::atoi(server_addr.c_str() + colon + 1));
-  }
-  if (cmd == "top") {
-    int interval_ms = 1000;
-    int frames = 1;
-    std::string admin_addr;
-    for (size_t i = 1; i < args.size(); ++i) {
-      if (args[i] == "--interval-ms" && i + 1 < args.size()) {
-        interval_ms = std::atoi(args[++i].c_str());
-      } else if (args[i] == "--frames" && i + 1 < args.size()) {
-        frames = std::atoi(args[++i].c_str());
-      } else if (args[i] == "--admin" && i + 1 < args.size()) {
-        admin_addr = args[++i];
-      } else {
-        return Usage();
-      }
-    }
-    if (interval_ms <= 0 || frames <= 0) return Usage();
-    if (!admin_addr.empty()) {
-      size_t colon = admin_addr.rfind(':');
-      if (colon == std::string::npos) return Usage();
-      const std::string admin_host = admin_addr.substr(0, colon);
-      const uint16_t admin_port =
-          static_cast<uint16_t>(std::atoi(admin_addr.c_str() + colon + 1));
-      return RunTop(
-          [&] { return TopFromVarz(admin_host, admin_port); },
-          interval_ms, frames);
-    }
-    auto conn = rpc::RemoteServer::Connect(host, port, remote_options);
-    if (!conn.ok()) return Fail(conn.status());
-    return RunTop([&] { return TopFromStats(conn->get()); }, interval_ms,
-                  frames);
+  if (cmd == "stats" || cmd == "trace" || cmd == "events" ||
+      cmd == "profile" || cmd == "top") {
+    if (admin_host.empty()) return Usage();
+    return RunAdminCommand(args, admin_host, admin_port,
+                           remote_options.io_timeout_ms);
   }
 
+  // Commands over the verified RPC channel.
   auto remote = rpc::RemoteServer::Connect(host, port, remote_options);
   if (!remote.ok()) {
     if (rpc::IsRetryableTransport(remote.status())) {
@@ -407,74 +463,11 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (cmd == "stats") {
-    auto snap = (*remote)->Stats();
-    if (!snap.ok()) return Fail(snap.status());
-    std::string text = snap->TextFormat();
-    std::fwrite(text.data(), 1, text.size(), stdout);
-    return 0;
-  }
-
-  if (cmd == "trace") {
-    auto dump = (*remote)->TraceDump();
-    if (!dump.ok()) return Fail(dump.status());
-    std::string json = dump->ChromeTraceJson();
-    std::fwrite(json.data(), 1, json.size(), stdout);
-    std::fputc('\n', stdout);
-    return 0;
-  }
-
-  if (cmd == "profile") {
-    int seconds = 5;
-    int hz = 100;
-    for (size_t i = 1; i < args.size(); ++i) {
-      if (args[i] == "--seconds" && i + 1 < args.size()) {
-        seconds = std::atoi(args[++i].c_str());
-      } else if (args[i] == "--hz" && i + 1 < args.size()) {
-        hz = std::atoi(args[++i].c_str());
-      } else {
-        return Usage();
-      }
-    }
-    std::fprintf(stderr, "tcvs: profiling server for %ds at %d Hz...\n",
-                 seconds, hz);
-    auto folded = (*remote)->Profile(seconds, hz);
-    if (!folded.ok()) return Fail(folded.status());
-    std::fwrite(folded->data(), 1, folded->size(), stdout);
-    return 0;
-  }
-
-  if (cmd == "events") {
-    bool json = false;
-    for (size_t i = 1; i < args.size(); ++i) {
-      if (args[i] == "--json") json = true;
-    }
-    auto events = (*remote)->Events();
-    if (!events.ok()) return Fail(events.status());
-    if (json) {
-      for (const auto& e : *events) {
-        std::printf("%s\n", e.JsonFormat().c_str());
-      }
-      return 0;
-    }
-    std::printf("%-5s %-26s %-5s %-8s %-6s %-16s %s\n", "SEQ", "KIND", "USER",
-                "CTR", "EPOCH", "TRACE", "DETAIL");
-    for (const auto& e : *events) {
-      std::printf("%-5llu %-26s %-5u %-8llu %-6llu %016llx %s\n",
-                  (unsigned long long)e.seq, util::AuditEventKindName(e.kind),
-                  e.user, (unsigned long long)e.ctr,
-                  (unsigned long long)e.epoch, (unsigned long long)e.trace_id,
-                  e.detail.c_str());
-    }
-    std::printf("%zu audit events\n", events->size());
-    return 0;
-  }
-
   if (user == 0 || state_file.empty()) return Usage();
 
   // Load or initialize the client state.
   cvs::ClientState state;
-  if (auto data = ReadFile(state_file); data.ok()) {
+  if (auto data = storage::ReadFileBytes(state_file); data.ok()) {
     auto parsed = cvs::ClientState::Deserialize(*data);
     if (!parsed.ok()) return Fail(parsed.status());
     state = std::move(parsed).ValueOrDie();
@@ -560,14 +553,15 @@ int main(int argc, char** argv) {
   // Persist the (possibly advanced) registers even after clean failures:
   // rejected commits are transactions too.
   if (rc != 3) {
-    Status st = WriteFile(state_file, client.state().Serialize());
+    Status st =
+        storage::AtomicWriteFile(state_file, client.state().Serialize());
     if (!st.ok()) return Fail(st);
     if (cache_dirty) {
       // Best-effort: the cache only feeds degraded mode and proof warm-up;
       // losing it costs availability/speed during an outage, never
       // correctness.
       cache.StoreVoEntries(*client.vo_cache());
-      (void)WriteFile(CachePath(state_file), cache.Serialize());
+      (void)storage::AtomicWriteFile(CachePath(state_file), cache.Serialize());
     }
   }
   return rc;

@@ -47,15 +47,18 @@
 // exactly once.
 //
 // --trace turns on span recording into the bounded in-process ring
-// (`tcvs trace` drains it as Chrome trace-event JSON); --trace-capacity N
-// sizes the ring and implies --trace. Trace-context propagation across RPC
+// (/tracez and `tcvs trace` drain it as Chrome trace-event JSON);
+// --trace-capacity N sizes the ring and implies --trace. Trace-context propagation across RPC
 // is always on regardless — it costs three integers per request.
 //
 // --admin-port N starts the HTTP observability plane on loopback port N
 // (0 = ephemeral; the bound port is printed): /metrics, /varz, /healthz,
-// /readyz, /statusz, /tracez, /eventsz — see ARCHITECTURE.md
-// "Observability plane". /readyz goes 503 while the WAL cannot take
-// writes, the worker pool is down, or fork evidence has been recorded.
+// /readyz, /statusz, /tracez, /eventsz, /pprofz, /lockz — see
+// ARCHITECTURE.md "Observability plane". It is the only way to read
+// observability data out of the daemon: `tcvs --admin HOST:PORT
+// stats|trace|events|profile|top` are its clients. /readyz goes 503 while
+// the WAL cannot take writes, the worker pool is down, or fork evidence
+// has been recorded.
 //
 // --slow-op-us US arms slow-op capture: any served RPC taking longer than
 // US microseconds emits a JSON-lines record on stderr with its method,
@@ -65,7 +68,7 @@
 //
 // --profile-hz HZ arms the always-on sampling CPU profiler at HZ samples
 // per second of process CPU time (SIGPROF; see ARCHITECTURE.md "Profiling
-// plane"). /pprofz and `tcvs profile` windows then ride the running
+// plane"). /pprofz windows (`tcvs profile`) then ride the running
 // profiler instead of starting their own. Overhead budget: <= 3% at 100 Hz
 // (bench_profiler_overhead pins it).
 //
@@ -167,6 +170,16 @@ class JsonLogger {
   std::thread thread_;
 };
 
+int Usage() {
+  std::fprintf(stderr,
+               "usage: tcvsd [--port N] [--fanout F] [--data-dir DIR] "
+               "[--no-fsync] [--group-commit-window-us US] [--threads N] "
+               "[--log-json] [--log-json-interval-ms MS] [--trace] "
+               "[--trace-capacity N] [--admin-port N] [--slow-op-us US] "
+               "[--profile-hz HZ] [--no-contention-profile]\n");
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -191,7 +204,9 @@ int main(int argc, char** argv) {
   serve_options.num_threads = static_cast<int>(hw > 2 ? hw : 2);
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc) {
-      port = static_cast<uint16_t>(std::atoi(argv[++i]));
+      auto parsed = net::ParsePort(argv[++i]);
+      if (!parsed.ok()) return Usage();
+      port = *parsed;
     } else if (std::strcmp(argv[i], "--fanout") == 0 && i + 1 < argc) {
       fanout = static_cast<size_t>(std::atoi(argv[++i]));
     } else if (std::strcmp(argv[i], "--data-dir") == 0 && i + 1 < argc) {
@@ -217,7 +232,9 @@ int main(int argc, char** argv) {
       trace = true;  // Asking for a buffer size implies wanting the buffer.
       trace_capacity = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--admin-port") == 0 && i + 1 < argc) {
-      admin_port = std::atoi(argv[++i]);
+      auto parsed = net::ParsePort(argv[++i]);
+      if (!parsed.ok()) return Usage();
+      admin_port = *parsed;
     } else if (std::strcmp(argv[i], "--slow-op-us") == 0 && i + 1 < argc) {
       serve_options.slow_op_us = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--profile-hz") == 0 && i + 1 < argc) {
@@ -227,13 +244,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--no-contention-profile") == 0) {
       contention_profile = false;
     } else {
-      std::fprintf(stderr,
-                   "usage: tcvsd [--port N] [--fanout F] [--data-dir DIR] "
-                   "[--no-fsync] [--group-commit-window-us US] [--threads N] "
-                   "[--log-json] [--log-json-interval-ms MS] [--trace] "
-                   "[--trace-capacity N] [--admin-port N] [--slow-op-us US] "
-                   "[--profile-hz HZ] [--no-contention-profile]\n");
-      return 2;
+      return Usage();
     }
   }
   if (serve_options.num_threads < 1) {
