@@ -88,34 +88,6 @@ void BM_ClientVerifyRead(benchmark::State& state) {
 }
 BENCHMARK(BM_ClientVerifyRead)->Arg(100)->Arg(1000)->Arg(10000)->Arg(100000);
 
-// Warm-VO-cache variant: the same proof re-verified with a VoCache attached
-// (a prime read fills it). The hit path is one content-addressed key hash
-// instead of the full subtree recomputation; the trusted-root comparison
-// still runs, so a stale or forged hit would be rejected just like a miss.
-void BM_ClientVerifyRead_Cache(benchmark::State& state) {
-  const size_t n = state.range(0);
-  const bool warm = state.range(1) == 1;
-  const mtree::MerkleBTree& tree = TreeOf(n, 8);
-  mtree::PointVO vo = tree.ProvePoint(NumKey(n / 2));
-  mtree::TreeClient client(tree.root_digest(), tree.params());
-  mtree::VoCache cache;
-  if (warm) {
-    client.AttachVoCache(&cache);
-    benchmark::DoNotOptimize(client.Read(NumKey(n / 2), vo));  // Prime.
-  }
-  for (auto _ : state) {
-    auto r = client.Read(NumKey(n / 2), vo);
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.SetLabel(warm ? "warm_cache" : "no_cache");
-}
-BENCHMARK(BM_ClientVerifyRead_Cache)
-    ->Args({10000, 0})
-    ->Args({10000, 1})
-    ->Args({100000, 0})
-    ->Args({100000, 1});
-
 void BM_ClientReplayUpsert(benchmark::State& state) {
   const size_t n = state.range(0);
   const mtree::MerkleBTree& tree = TreeOf(n, 8);

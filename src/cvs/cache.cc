@@ -30,16 +30,6 @@ std::vector<std::pair<std::string, uint64_t>> LocalCache::List(
   return out;
 }
 
-void LocalCache::StoreVoEntries(const mtree::VoCache& cache) {
-  vo_entries_ = cache.Export();
-}
-
-void LocalCache::LoadVoEntriesInto(mtree::VoCache* cache) const {
-  for (const auto& [key, digest] : vo_entries_) {
-    cache->Restore(key, digest);
-  }
-}
-
 Bytes LocalCache::Serialize() const {
   util::Writer w;
   w.PutString(kCacheMagic);
@@ -48,13 +38,6 @@ Bytes LocalCache::Serialize() const {
     w.PutString(path);
     w.PutU64(record.revision);
     w.PutString(record.content);
-  }
-  // VO subtree-cache sidecar, appended after the files so caches written by
-  // older builds (which stop reading here) still parse.
-  w.PutU64(vo_entries_.size());
-  for (const auto& [key, digest] : vo_entries_) {
-    w.PutBytes(key);
-    w.PutBytes(digest);
   }
   return w.Take();
 }
@@ -74,15 +57,8 @@ Result<LocalCache> LocalCache::Deserialize(const Bytes& data) {
     TCVS_ASSIGN_OR_RETURN(record.content, r.GetString());
     cache.files_[std::move(path)] = std::move(record);
   }
-  // Optional VO sidecar (absent in files written before it existed).
   if (!r.AtEnd()) {
-    TCVS_ASSIGN_OR_RETURN(uint64_t vn, r.GetU64());
-    for (uint64_t i = 0; i < vn; ++i) {
-      std::pair<crypto::Digest, crypto::Digest> entry;
-      TCVS_ASSIGN_OR_RETURN(entry.first, r.GetBytes());
-      TCVS_ASSIGN_OR_RETURN(entry.second, r.GetBytes());
-      cache.vo_entries_.push_back(std::move(entry));
-    }
+    return Status::Corruption("trailing bytes after local-cache records");
   }
   return cache;
 }

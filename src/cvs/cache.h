@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "cvs/repository.h"
-#include "mtree/vo.h"
 #include "util/result.h"
 #include "util/taint_annotations.h"
 
@@ -41,26 +40,15 @@ class LocalCache {
 
   size_t size() const { return files_.size(); }
 
-  /// \name VO subtree-cache sidecar.
-  /// The CLI persists the client's mtree::VoCache alongside the file cache
-  /// so repeat proofs stay warm across invocations. The entries are
-  /// content-addressed (key = hash of the verified bytes), so a corrupted
-  /// sidecar can at worst cause misses or digests that fail the trusted-root
-  /// comparison — never acceptance of unverified content.
-  /// @{
-  void StoreVoEntries(const mtree::VoCache& cache);
-  void LoadVoEntriesInto(mtree::VoCache* cache) const;
-  size_t vo_entry_count() const { return vo_entries_.size(); }
-  /// @}
-
+  /// The file format is the magic followed by the records; nothing else.
   Bytes Serialize() const;
   // taint-exempt: local-origin — parses the client's own cache file, whose
-  // contents were verified before they were written.
+  // contents were verified before they were written. Trailing bytes after
+  // the records are Corruption.
   static Result<LocalCache> Deserialize(const Bytes& data);
 
  private:
   std::map<std::string, FileRecord> files_;
-  std::vector<std::pair<crypto::Digest, crypto::Digest>> vo_entries_;
 };
 
 }  // namespace cvs

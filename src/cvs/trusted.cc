@@ -413,8 +413,7 @@ Result<ServerReply> VerifyingClient::Execute(
 
     TCVS_ASSIGN_OR_RETURN(util::Tainted<mtree::PointVO> vo,
                           mtree::PointVO::Deserialize(f.vo));
-    TCVS_ASSIGN_OR_RETURN(crypto::Digest root,
-                          mtree::VerifiedRootDigest(vo, &vo_cache_));
+    TCVS_ASSIGN_OR_RETURN(crypto::Digest root, mtree::VerifiedRootDigest(vo));
     if (!chain_root.has_value()) {
       pre_root = root;
     } else if (root != *chain_root) {
@@ -432,8 +431,7 @@ Result<ServerReply> VerifyingClient::Execute(
     }
 
     TCVS_ASSIGN_OR_RETURN(std::optional<Bytes> value,
-                          mtree::VerifyPointRead(root, params_, key, vo,
-                                                 &vo_cache_));
+                          mtree::VerifyPointRead(root, params_, key, vo));
     std::optional<FileRecord> record;
     if (value.has_value()) {
       auto rec = FileRecord::Deserialize(*value);
@@ -466,7 +464,7 @@ Result<ServerReply> VerifyingClient::Execute(
               FileRecord{op.base_revision + 1, op.content}.Serialize();
           TCVS_ASSIGN_OR_RETURN(
               next_root, mtree::VerifyAndApplyUpsert(root, params_, key,
-                                                     new_value, vo, &vo_cache_));
+                                                     new_value, vo));
         }
         break;
       }
@@ -474,8 +472,7 @@ Result<ServerReply> VerifyingClient::Execute(
         scratch_rev[op.path] = 0;
         if (reply.applied && record.has_value()) {
           TCVS_ASSIGN_OR_RETURN(
-              next_root, mtree::VerifyAndApplyDelete(root, params_, key, vo,
-                                                     &vo_cache_));
+              next_root, mtree::VerifyAndApplyDelete(root, params_, key, vo));
         }
         if (reply.applied && record.has_value() != f.found) {
           return Deviation(util::AuditEventKind::kVoMismatch, user_id_,
@@ -593,12 +590,10 @@ Result<std::vector<std::pair<std::string, uint64_t>>> VerifyingClient::ListDir(
   }
   TCVS_ASSIGN_OR_RETURN(util::Tainted<mtree::RangeVO> vo,
                         mtree::RangeVO::Deserialize(reply.range_vo));
-  TCVS_ASSIGN_OR_RETURN(crypto::Digest root,
-                        mtree::VerifiedRootDigest(vo, &vo_cache_));
+  TCVS_ASSIGN_OR_RETURN(crypto::Digest root, mtree::VerifiedRootDigest(vo));
   TCVS_ASSIGN_OR_RETURN(
       auto rows, mtree::VerifyRangeRead(root, params_, util::ToBytes(prefix),
-                                        PrefixUpperBound(prefix), vo,
-                                        &vo_cache_));
+                                        PrefixUpperBound(prefix), vo));
   std::vector<std::pair<std::string, uint64_t>> out;
   for (const auto& [key, value] : rows) {
     auto rec = FileRecord::Deserialize(value);

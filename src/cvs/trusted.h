@@ -269,11 +269,6 @@ class VerifyingClient {
 
   uint64_t log_checkpoint_size() const { return log_size_; }
 
-  /// The client-side VO subtree cache (hot-path shortcut; see mtree::VoCache
-  /// for the soundness argument). Exposed for persistence and tests.
-  mtree::VoCache* vo_cache() { return &vo_cache_; }
-  const mtree::VoCache& vo_cache() const { return vo_cache_; }
-
  private:
   /// Runs the full chain walk over a quarantined reply; on success the
   /// reply is endorsed (ChainVerified) and the registers folded.
@@ -301,7 +296,6 @@ class VerifyingClient {
   uint64_t log_size_ = 0;
   crypto::Digest log_root_;
   mtree::TreeParams params_;
-  mtree::VoCache vo_cache_;
 };
 
 }  // namespace cvs

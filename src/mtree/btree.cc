@@ -416,6 +416,7 @@ Result<MerkleBTree> MerkleBTree::Deserialize(const Bytes& data,
   TCVS_ASSIGN_OR_RETURN(uint64_t max_internal, r.GetU64());
   params.max_leaf_entries = max_leaf;
   params.max_internal_keys = max_internal;
+  TCVS_RETURN_NOT_OK(ValidateTreeParams(params));
   TCVS_ASSIGN_OR_RETURN(uint64_t size, r.GetU64());
 
   MerkleBTree tree(params);

@@ -27,35 +27,27 @@ class TreeClient {
   const Digest& root() const { return root_; }
   const TreeParams& params() const { return params_; }
 
-  /// Attaches (or detaches, with nullptr) a VO subtree cache: subsequent
-  /// verifications shortcut subtrees whose exact bytes verified before. The
-  /// cache is borrowed, not owned, and must outlive the client or be
-  /// detached first. All verification guarantees are unchanged — see
-  /// VoCache for the soundness argument.
-  void AttachVoCache(VoCache* cache) { cache_ = cache; }
-  VoCache* vo_cache() const { return cache_; }
-
   /// Verifies an authenticated point read. Does not change M.
   /// \return the value, or nullopt for authenticated non-membership.
   Result<std::optional<Bytes>> Read(const Bytes& key, const PointVO& vo) const {
-    return VerifyPointRead(root_, params_, key, vo, cache_);
+    return VerifyPointRead(root_, params_, key, vo);
   }
   /// Same, straight from a quarantined wire VO — the verify call endorses.
   TCVS_ENDORSER Result<std::optional<Bytes>> Read(
       const Bytes& key, const util::Tainted<PointVO>& vo) const {
-    return VerifyPointRead(root_, params_, key, vo, cache_);
+    return VerifyPointRead(root_, params_, key, vo);
   }
 
   /// Verifies an authenticated range read. Does not change M.
   Result<std::vector<std::pair<Bytes, Bytes>>> ReadRange(const Bytes& lo,
                                                          const Bytes& hi,
                                                          const RangeVO& vo) const {
-    return VerifyRangeRead(root_, params_, lo, hi, vo, cache_);
+    return VerifyRangeRead(root_, params_, lo, hi, vo);
   }
   TCVS_ENDORSER Result<std::vector<std::pair<Bytes, Bytes>>> ReadRange(
       const Bytes& lo, const Bytes& hi,
       const util::Tainted<RangeVO>& vo) const {
-    return VerifyRangeRead(root_, params_, lo, hi, vo, cache_);
+    return VerifyRangeRead(root_, params_, lo, hi, vo);
   }
 
   /// Verifies the pre-state VO of an upsert, replays it, and advances M.
@@ -63,14 +55,14 @@ class TreeClient {
   Result<Digest> ApplyUpsert(const Bytes& key, const Bytes& value,
                              const PointVO& vo) {
     TCVS_ASSIGN_OR_RETURN(Digest next, VerifyAndApplyUpsert(root_, params_, key,
-                                                            value, vo, cache_));
+                                                            value, vo));
     root_ = next;
     return root_;
   }
   TCVS_ENDORSER Result<Digest> ApplyUpsert(const Bytes& key, const Bytes& value,
                                            const util::Tainted<PointVO>& vo) {
     TCVS_ASSIGN_OR_RETURN(Digest next, VerifyAndApplyUpsert(root_, params_, key,
-                                                            value, vo, cache_));
+                                                            value, vo));
     root_ = next;
     return root_;
   }
@@ -80,14 +72,14 @@ class TreeClient {
   /// the key absent.
   Result<Digest> ApplyDelete(const Bytes& key, const PointVO& vo) {
     TCVS_ASSIGN_OR_RETURN(Digest next,
-                          VerifyAndApplyDelete(root_, params_, key, vo, cache_));
+                          VerifyAndApplyDelete(root_, params_, key, vo));
     root_ = next;
     return root_;
   }
   TCVS_ENDORSER Result<Digest> ApplyDelete(const Bytes& key,
                                            const util::Tainted<PointVO>& vo) {
     TCVS_ASSIGN_OR_RETURN(Digest next,
-                          VerifyAndApplyDelete(root_, params_, key, vo, cache_));
+                          VerifyAndApplyDelete(root_, params_, key, vo));
     root_ = next;
     return root_;
   }
@@ -99,7 +91,6 @@ class TreeClient {
  private:
   Digest root_;
   TreeParams params_;
-  VoCache* cache_ = nullptr;  // Borrowed; nullptr = no caching.
 };
 
 }  // namespace mtree

@@ -38,204 +38,16 @@ bool StrictlySorted(const std::vector<Bytes>& keys) {
   return true;
 }
 
-// Follows the claimed search path for `key` WITHOUT verifying anything —
-// only the point-read memo fast path uses this, and a memo hit never trusts
-// the walked structure, only the leaf bytes it compares (see VoCache).
-const NodeView* FindClaimedLeaf(const NodeView& root, const Bytes& key) {
-  const NodeView* node = &root;
-  int depth = 0;
-  while (!node->is_leaf) {
-    if (++depth > 64) return nullptr;
-    auto it =
-        node->expanded.find(static_cast<uint32_t>(RouteChild(node->keys, key)));
-    if (it == node->expanded.end()) return nullptr;
-    node = &it->second;
-  }
-  return node;
-}
-
-// Defined in the serialization section below; the cache keys subtrees by
-// the hash of this exact encoding.
-void SerializeView(const NodeView& view, util::Writer* w);
-
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// VoCache
-// ---------------------------------------------------------------------------
-
-Digest VoCache::SubtreeKey(const NodeView& view) {
-  util::Writer w;
-  // Domain separation from node digests (0x00 leaf / 0x01 internal): a
-  // cache key can never be confused with (or forged as) a tree digest.
-  w.PutU8(0xC5);
-  SerializeView(view, &w);
-  return crypto::Sha256::Hash(w.buffer());
-}
-
-const Digest* VoCache::Lookup(const Digest& key) {
-  static util::Counter* const hits =
-      util::MetricsRegistry::Instance().GetCounter("mtree.vo.cache.hits_total");
-  static util::Counter* const misses =
-      util::MetricsRegistry::Instance().GetCounter("mtree.vo.cache.misses_total");
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    misses->Increment();
-    return nullptr;
+Status ValidateTreeParams(const TreeParams& params) {
+  if (params.max_leaf_entries < 2 || params.max_internal_keys < 2) {
+    return Status::InvalidArgument(
+        "tree params must be at least 2, got leaf=" +
+        std::to_string(params.max_leaf_entries) +
+        " internal=" + std::to_string(params.max_internal_keys));
   }
-  hits->Increment();
-  return &it->second;
-}
-
-void VoCache::Insert(const Digest& key, const Digest& digest) {
-  static util::Counter* const insertions =
-      util::MetricsRegistry::Instance().GetCounter("mtree.vo.cache.insertions_total");
-  if (max_entries_ == 0) return;
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    if (it->second != digest) {
-      // One content key mapping to two digests should be impossible (the
-      // key is a hash of the content that determines the digest); if it
-      // ever happens the cache is corrupt, which is security-significant:
-      // audit it and drop the entry rather than silently serving either.
-      util::AuditEvent event(util::AuditEventKind::kVoMismatch);
-      event.expected_digest = it->second;
-      event.actual_digest = digest;
-      event.detail = "vo cache consistency violation: content key maps to "
-                     "two different digests";
-      util::AuditLog::Instance().Emit(std::move(event));
-      entries_.erase(it);
-    }
-    return;
-  }
-  EvictIfFull();
-  entries_.emplace(key, digest);
-  fifo_.push_back(key);
-  insertions->Increment();
-}
-
-void VoCache::EvictIfFull() {
-  static util::Counter* const evictions =
-      util::MetricsRegistry::Instance().GetCounter("mtree.vo.cache.evictions_total");
-  while (entries_.size() >= max_entries_ && fifo_head_ < fifo_.size()) {
-    if (entries_.erase(fifo_[fifo_head_]) > 0) evictions->Increment();
-    ++fifo_head_;
-  }
-  // Compact the FIFO once the dead prefix dominates.
-  if (fifo_head_ > 1024 && fifo_head_ * 2 > fifo_.size()) {
-    fifo_.erase(fifo_.begin(), fifo_.begin() + fifo_head_);
-    fifo_head_ = 0;
-  }
-}
-
-void VoCache::ErasePath(const NodeView& view) {
-  static util::Counter* const invalidations =
-      util::MetricsRegistry::Instance().GetCounter(
-          "mtree.vo.cache.invalidations_total");
-  if (entries_.erase(SubtreeKey(view)) > 0) invalidations->Increment();
-  for (const auto& [idx, child] : view.expanded) ErasePath(child);
-}
-
-const VoCache::CachedPointRead* VoCache::AcceptPointRead(
-    const Digest& trusted_root, const Bytes& key,
-    const std::vector<EntryView>& leaf_entries) {
-  static util::Counter* const hits =
-      util::MetricsRegistry::Instance().GetCounter("mtree.vo.cache.hits_total");
-  static util::Counter* const memo_hits =
-      util::MetricsRegistry::Instance().GetCounter(
-          "mtree.vo.cache.read_memo_hits_total");
-  static util::Counter* const memo_misses =
-      util::MetricsRegistry::Instance().GetCounter(
-          "mtree.vo.cache.read_memo_misses_total");
-  auto it = reads_.find(ReadKey(trusted_root, key));
-  if (it == reads_.end() || it->second.leaf_entries != leaf_entries) {
-    memo_misses->Increment();
-    return nullptr;
-  }
-  hits->Increment();
-  memo_hits->Increment();
-  return &it->second;
-}
-
-void VoCache::InsertPointRead(const Digest& trusted_root, const Bytes& key,
-                              std::vector<EntryView> leaf_entries,
-                              std::optional<Bytes> value) {
-  static util::Counter* const insertions =
-      util::MetricsRegistry::Instance().GetCounter("mtree.vo.cache.insertions_total");
-  if (max_entries_ == 0) return;
-  ReadKey rk(trusted_root, key);
-  auto it = reads_.find(rk);
-  if (it != reads_.end()) {
-    if (it->second.leaf_entries != leaf_entries || it->second.value != value) {
-      // Both versions passed full verification against the SAME root, yet
-      // disagree — impossible under collision resistance, so treat it as
-      // cache corruption: audit and drop rather than serve either.
-      util::AuditEvent event(util::AuditEventKind::kVoMismatch);
-      event.expected_digest = trusted_root;
-      event.actual_digest = trusted_root;
-      event.detail = "vo cache consistency violation: one (root, key) memo "
-                     "maps to two different verified leaves";
-      util::AuditLog::Instance().Emit(std::move(event));
-      reads_.erase(it);
-    }
-    return;
-  }
-  EvictReadsIfFull();
-  reads_.emplace(rk, CachedPointRead{std::move(leaf_entries), std::move(value)});
-  reads_fifo_.push_back(std::move(rk));
-  insertions->Increment();
-}
-
-void VoCache::EvictReadsIfFull() {
-  static util::Counter* const evictions =
-      util::MetricsRegistry::Instance().GetCounter("mtree.vo.cache.evictions_total");
-  while (reads_.size() >= max_entries_ && reads_fifo_head_ < reads_fifo_.size()) {
-    if (reads_.erase(reads_fifo_[reads_fifo_head_]) > 0) evictions->Increment();
-    ++reads_fifo_head_;
-  }
-  if (reads_fifo_head_ > 1024 && reads_fifo_head_ * 2 > reads_fifo_.size()) {
-    reads_fifo_.erase(reads_fifo_.begin(),
-                      reads_fifo_.begin() + reads_fifo_head_);
-    reads_fifo_head_ = 0;
-  }
-}
-
-void VoCache::InvalidateEpoch(const Digest& root) {
-  static util::Counter* const invalidations =
-      util::MetricsRegistry::Instance().GetCounter(
-          "mtree.vo.cache.invalidations_total");
-  auto it = reads_.lower_bound(ReadKey(root, Bytes{}));
-  while (it != reads_.end() && it->first.first == root) {
-    it = reads_.erase(it);
-    invalidations->Increment();
-  }
-}
-
-void VoCache::Clear() {
-  entries_.clear();
-  fifo_.clear();
-  fifo_head_ = 0;
-  reads_.clear();
-  reads_fifo_.clear();
-  reads_fifo_head_ = 0;
-}
-
-std::vector<std::pair<Digest, Digest>> VoCache::Export() const {
-  std::vector<std::pair<Digest, Digest>> out;
-  out.reserve(entries_.size());
-  for (const auto& [key, digest] : entries_) out.emplace_back(key, digest);
-  return out;
-}
-
-void VoCache::Restore(const Digest& key, const Digest& digest) {
-  if (key.size() != crypto::kDigestSize ||
-      digest.size() != crypto::kDigestSize) {
-    return;  // Malformed persisted entry: skip rather than poison the map.
-  }
-  if (max_entries_ == 0 || entries_.count(key) > 0) return;
-  EvictIfFull();
-  entries_.emplace(key, digest);
-  fifo_.push_back(key);
+  return Status::OK();
 }
 
 Digest LeafDigest(const std::vector<EntryView>& entries) {
@@ -266,19 +78,7 @@ Digest NodeView::UncheckedDigest() const {
   return InternalDigest(keys, child_digests);
 }
 
-Result<Digest> NodeView::VerifiedDigest(VoCache* cache) const {
-  // Cache fast path: one hash over the exact received bytes. A hit means
-  // this identical subtree already passed every check below.
-  Digest cache_key;
-  if (cache != nullptr) {
-    cache_key = VoCache::SubtreeKey(*this);
-    if (const Digest* hit = cache->Lookup(cache_key)) return *hit;
-  }
-  auto verified = [&](Digest digest) {
-    if (cache != nullptr) cache->Insert(cache_key, digest);
-    return digest;
-  };
-
+Result<Digest> NodeView::VerifiedDigest() const {
   if (is_leaf) {
     for (size_t i = 0; i < entries.size(); ++i) {
       if (entries[i].value_hash.size() != crypto::kDigestSize) {
@@ -292,7 +92,7 @@ Result<Digest> NodeView::VerifiedDigest(VoCache* cache) const {
         return Status::VerificationFailure("leaf entry value does not match hash");
       }
     }
-    return verified(LeafDigest(entries));
+    return LeafDigest(entries);
   }
 
   if (keys.empty()) {
@@ -313,13 +113,13 @@ Result<Digest> NodeView::VerifiedDigest(VoCache* cache) const {
     if (idx >= child_digests.size()) {
       return Status::VerificationFailure("expanded child index out of range");
     }
-    TCVS_ASSIGN_OR_RETURN(Digest child_digest, child.VerifiedDigest(cache));
+    TCVS_ASSIGN_OR_RETURN(Digest child_digest, child.VerifiedDigest());
     if (child_digest != child_digests[idx]) {
       return Status::VerificationFailure(
           "expanded child digest does not match parent's record");
     }
   }
-  return verified(InternalDigest(keys, child_digests));
+  return InternalDigest(keys, child_digests);
 }
 
 // ---------------------------------------------------------------------------
@@ -440,23 +240,11 @@ Result<util::Tainted<RangeVO>> RangeVO::Deserialize(const Bytes& data) {
 
 Result<std::optional<Bytes>> VerifyPointRead(const Digest& trusted_root,
                                              const TreeParams& params,
-                                             const Bytes& key, const PointVO& vo,
-                                             VoCache* cache) {
+                                             const Bytes& key,
+                                             const PointVO& vo) {
   (void)params;
   TCVS_SPAN("mtree.vo.verify_point");
-  // Memo fast path (epoch = trusted root, path = query key): if an earlier
-  // proof for this exact (root, key) fully verified and the fresh proof ends
-  // at a bit-identical leaf, the answer is already authenticated — zero
-  // hashing. Any difference falls through to full verification below.
-  if (cache != nullptr) {
-    if (const NodeView* leaf = FindClaimedLeaf(vo.root, key)) {
-      if (const VoCache::CachedPointRead* memo =
-              cache->AcceptPointRead(trusted_root, key, leaf->entries)) {
-        return memo->value;
-      }
-    }
-  }
-  TCVS_ASSIGN_OR_RETURN(Digest root_digest, vo.root.VerifiedDigest(cache));
+  TCVS_ASSIGN_OR_RETURN(Digest root_digest, vo.root.VerifiedDigest());
   if (root_digest != trusted_root) {
     return RootMismatch("verify_point", trusted_root, root_digest);
   }
@@ -476,14 +264,8 @@ Result<std::optional<Bytes>> VerifyPointRead(const Digest& trusted_root,
       if (!e.value.has_value()) {
         return Status::VerificationFailure("VO omits value for present key");
       }
-      if (cache != nullptr) {
-        cache->InsertPointRead(trusted_root, key, node->entries, *e.value);
-      }
       return std::optional<Bytes>(*e.value);
     }
-  }
-  if (cache != nullptr) {
-    cache->InsertPointRead(trusted_root, key, node->entries, std::nullopt);
   }
   return std::optional<Bytes>(std::nullopt);
 }
@@ -559,20 +341,13 @@ Result<UpsertResult> ReplayUpsert(const NodeView& node, const TreeParams& params
 
 Result<Digest> VerifyAndApplyUpsert(const Digest& trusted_root,
                                     const TreeParams& params, const Bytes& key,
-                                    const Bytes& value, const PointVO& vo,
-                                    VoCache* cache) {
+                                    const Bytes& value, const PointVO& vo) {
   TCVS_SPAN("mtree.vo.apply_upsert");
-  TCVS_ASSIGN_OR_RETURN(Digest root_digest, vo.root.VerifiedDigest(cache));
+  TCVS_ASSIGN_OR_RETURN(Digest root_digest, vo.root.VerifiedDigest());
   if (root_digest != trusted_root) {
     return RootMismatch("apply_upsert", trusted_root, root_digest);
   }
   TCVS_ASSIGN_OR_RETURN(UpsertResult r, ReplayUpsert(vo.root, params, key, value));
-  // The upsert changed the tree: the cached pre-state path is dead weight
-  // now, and every read memo of the pre-state epoch is past its epoch.
-  if (cache != nullptr) {
-    cache->ErasePath(vo.root);
-    cache->InvalidateEpoch(trusted_root);
-  }
   if (!r.split.has_value()) return r.digest;
   // Root split: a new root with one separator and two children.
   return InternalDigest({r.split->first}, {r.digest, r.split->second});
@@ -635,19 +410,14 @@ Result<DeleteResult> ReplayDelete(const NodeView& node, const TreeParams& params
 
 Result<Digest> VerifyAndApplyDelete(const Digest& trusted_root,
                                     const TreeParams& params, const Bytes& key,
-                                    const PointVO& vo, VoCache* cache) {
+                                    const PointVO& vo) {
   TCVS_SPAN("mtree.vo.apply_delete");
-  TCVS_ASSIGN_OR_RETURN(Digest root_digest, vo.root.VerifiedDigest(cache));
+  TCVS_ASSIGN_OR_RETURN(Digest root_digest, vo.root.VerifiedDigest());
   if (root_digest != trusted_root) {
     return RootMismatch("apply_delete", trusted_root, root_digest);
   }
   TCVS_ASSIGN_OR_RETURN(DeleteResult r, ReplayDelete(vo.root, params, key));
-  // A NotFound delete leaves the tree unchanged — the cached path stays valid.
   if (!r.found) return Status::NotFound("key not present (authenticated)");
-  if (cache != nullptr) {
-    cache->ErasePath(vo.root);
-    cache->InvalidateEpoch(trusted_root);
-  }
   if (r.now_empty) return EmptyRootDigest();  // Root leaf became empty.
   return r.digest;
 }
@@ -693,11 +463,11 @@ Status CollectRange(const NodeView& node, const Bytes& lo, const Bytes& hi,
 
 Result<std::vector<std::pair<Bytes, Bytes>>> VerifyRangeRead(
     const Digest& trusted_root, const TreeParams& params, const Bytes& lo,
-    const Bytes& hi, const RangeVO& vo, VoCache* cache) {
+    const Bytes& hi, const RangeVO& vo) {
   (void)params;
   TCVS_SPAN("mtree.vo.verify_range");
   if (hi < lo) return Status::InvalidArgument("range bounds reversed");
-  TCVS_ASSIGN_OR_RETURN(Digest root_digest, vo.root.VerifiedDigest(cache));
+  TCVS_ASSIGN_OR_RETURN(Digest root_digest, vo.root.VerifiedDigest());
   if (root_digest != trusted_root) {
     return RootMismatch("verify_range", trusted_root, root_digest);
   }

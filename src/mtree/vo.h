@@ -34,6 +34,11 @@ struct TreeParams {
   bool operator==(const TreeParams&) const = default;
 };
 
+/// InvalidArgument unless both capacities are at least 2. Below that a split
+/// yields an internal node with no separator, which the client's replay
+/// rejects — an honest server would be accused.
+Status ValidateTreeParams(const TreeParams& params);
+
 struct NodeView;
 
 /// \brief One leaf entry as it appears in a verification object: the key and
@@ -47,112 +52,6 @@ struct EntryView {
   std::optional<Bytes> value;
 
   bool operator==(const EntryView&) const = default;
-};
-
-/// \brief Content-addressed cache of *verified* VO subtrees — the client-side
-/// hot-path shortcut for repeat proofs.
-///
-/// Key = H(domain ‖ full serialized subtree), value = the subtree's verified
-/// digest. The key pins every byte the server shipped (entries, values,
-/// child digests, AND the recursive expansions), so a hit proves the current
-/// content is bit-identical to content that passed full verification before
-/// — the cache can never vouch for substituted or tampered content, only
-/// skip re-verifying literally identical bytes. A *stale* subtree (the
-/// server replaying an old proof) hits the cache but returns the OLD digest,
-/// which then fails the caller's trusted-root / parent-digest comparison and
-/// fires the usual kVoMismatch audit evidence. Tampered content changes the
-/// key, misses, and goes through full verification.
-///
-/// Bounded FIFO; single-threaded like the client that owns it.
-class VoCache {
- public:
-  explicit VoCache(size_t max_entries = 4096) : max_entries_(max_entries) {}
-
-  /// Cache key for a subtree: H(domain ‖ SerializeView(view)).
-  static Digest SubtreeKey(const NodeView& view);
-
-  /// The verified digest for `key`, or nullptr on a miss. Counts
-  /// mtree.vo.cache.{hits,misses}_total.
-  const Digest* Lookup(const Digest& key);
-
-  /// Records that the subtree behind `key` fully verified to `digest`.
-  /// A re-insert under the same key must agree with the stored digest —
-  /// disagreement means the collision-resistant key maps to two digests,
-  /// which is a cache-consistency violation: it is audited (kVoMismatch)
-  /// and the entry is dropped rather than silently overwritten.
-  void Insert(const Digest& key, const Digest& digest);
-
-  /// Invalidation after a verified mutation: erases the cached entry of
-  /// `view` and of every expanded descendant (the pre-state path a replayed
-  /// upsert/delete just made stale). Counts mtree.vo.cache.invalidations_total.
-  void ErasePath(const NodeView& view);
-
-  /// \name Verified point-read memos — the (epoch, path) layer.
-  ///
-  /// Key = (trusted root digest, query key): the root digest IS the epoch
-  /// (it pins the entire tree content), and the query key names the
-  /// root-to-leaf path. The memo stores the exact leaf entry bytes a fully
-  /// verified proof ended at, plus the answer extracted from them. A later
-  /// proof for the same (root, key) is accepted iff its leaf entries are
-  /// bit-identical to the memoized ones — no hashing at all on a hit; any
-  /// difference (tampering, a different state) falls through to full
-  /// verification, which classifies and audits it. Sound because the
-  /// earlier full verification established "under root R the search path
-  /// for K ends at exactly these leaf bytes, and the answer derived from
-  /// them is A"; same R + same K + same leaf bytes is the same statement.
-  /// The new proof's internal nodes are not even examined: the answer is
-  /// not derived from them, and the trusted root — not the fresh VO — is
-  /// what authenticates the answer.
-  /// @{
-  struct CachedPointRead {
-    std::vector<EntryView> leaf_entries;
-    std::optional<Bytes> value;  ///< nullopt = authenticated non-membership.
-  };
-  /// Returns the memoized answer for (root, key) iff `leaf_entries` is
-  /// bit-identical to the memoized leaf (counting mtree.vo.cache.hits_total +
-  /// .read_memo_hits); nullptr — and .read_memo_misses — otherwise.
-  const CachedPointRead* AcceptPointRead(
-      const Digest& trusted_root, const Bytes& key,
-      const std::vector<EntryView>& leaf_entries);
-  /// Records a fully verified point read. Under an honest server one
-  /// (root, key) pair determines the leaf bytes, so a re-insert that
-  /// disagrees is a cache-consistency violation: audited (kVoMismatch) and
-  /// dropped, exactly like Insert.
-  void InsertPointRead(const Digest& trusted_root, const Bytes& key,
-                       std::vector<EntryView> leaf_entries,
-                       std::optional<Bytes> value);
-  /// Drops every memo of epoch `root` — called after a verified mutation
-  /// replay advances the trusted root past it. Counts
-  /// mtree.vo.cache.invalidations_total.
-  void InvalidateEpoch(const Digest& root);
-  size_t read_memo_count() const { return reads_.size(); }
-  /// @}
-
-  void Clear();
-  size_t size() const { return entries_.size(); }
-  size_t max_entries() const { return max_entries_; }
-
-  /// \name Persistence hooks (cvs::LocalCache sidecar).
-  /// @{
-  std::vector<std::pair<Digest, Digest>> Export() const;
-  /// Restores one exported (key, digest) pair. Local-origin only: the pair
-  /// must come from this client's own previously exported cache.
-  void Restore(const Digest& key, const Digest& digest);
-  /// @}
-
- private:
-  using ReadKey = std::pair<Digest, Bytes>;
-
-  void EvictIfFull();
-  void EvictReadsIfFull();
-
-  std::map<Digest, Digest> entries_;
-  std::vector<Digest> fifo_;  // Insertion order, oldest first.
-  size_t fifo_head_ = 0;      // Index of the oldest not-yet-evicted key.
-  std::map<ReadKey, CachedPointRead> reads_;
-  std::vector<ReadKey> reads_fifo_;
-  size_t reads_fifo_head_ = 0;
-  size_t max_entries_;
 };
 
 /// \brief An untrusted, recursive view of a subtree, as shipped in a
@@ -177,14 +76,8 @@ struct NodeView {
   /// every expanded child's recomputed digest matches the digest claimed in
   /// `child_digests`, and that structural invariants hold (sorted keys,
   /// digest sizes, child count).
-  ///
-  /// With a non-null `cache`, a subtree whose exact bytes verified before
-  /// returns its digest from the cache (one serialization + one hash instead
-  /// of the recursive walk); misses verify in full — recursing with the
-  /// cache, so an unchanged subtree under a changed root still hits — and
-  /// are inserted on success.
   /// \return the digest, or VerificationFailure / InvalidArgument.
-  Result<Digest> VerifiedDigest(VoCache* cache = nullptr) const;
+  Result<Digest> VerifiedDigest() const;
 
   /// Digest recomputation without consistency checks (used by the trusted
   /// server side where the structure is known-good).
@@ -234,13 +127,12 @@ struct RangeVO {
 ///
 /// \return the value if present, std::nullopt if provably absent.
 ///
-/// Every verify entry point takes an optional VoCache: repeat proofs (and
-/// the second and third verification of the SAME VO within one transaction
-/// chain walk) then cost one hash instead of the recursive walk. All
-/// soundness checks are preserved — see VoCache.
+/// Every verify entry point recomputes the root digest from the whole VO;
+/// there is no proof cache, so a stale or forged proof always reaches the
+/// trusted-root comparison and its kVoMismatch audit event.
 TCVS_ENDORSER Result<std::optional<Bytes>> VerifyPointRead(
     const Digest& trusted_root, const TreeParams& params, const Bytes& key,
-    const PointVO& vo, VoCache* cache = nullptr);
+    const PointVO& vo);
 
 /// \brief Client-side verification + replay of an update (upsert).
 ///
@@ -248,15 +140,11 @@ TCVS_ENDORSER Result<std::optional<Bytes>> VerifyPointRead(
 /// the upsert of (key,value) — including leaf/internal splits — and returns
 /// the new root digest the honest server must now have (paper §4.1: "the
 /// user ... computes the new root digest of the tree").
-///
-/// With a cache, the verified pre-state path is invalidated on success (its
-/// entries can never match the post-state tree).
 TCVS_ENDORSER Result<Digest> VerifyAndApplyUpsert(const Digest& trusted_root,
                                                   const TreeParams& params,
                                                   const Bytes& key,
                                                   const Bytes& value,
-                                                  const PointVO& vo,
-                                                  VoCache* cache = nullptr);
+                                                  const PointVO& vo);
 
 /// \brief Client-side verification + replay of a delete.
 ///
@@ -266,8 +154,7 @@ TCVS_ENDORSER Result<Digest> VerifyAndApplyUpsert(const Digest& trusted_root,
 TCVS_ENDORSER Result<Digest> VerifyAndApplyDelete(const Digest& trusted_root,
                                                   const TreeParams& params,
                                                   const Bytes& key,
-                                                  const PointVO& vo,
-                                                  VoCache* cache = nullptr);
+                                                  const PointVO& vo);
 
 /// \brief Client-side verification of a range scan over [lo, hi] inclusive.
 ///
@@ -278,7 +165,7 @@ TCVS_ENDORSER Result<Digest> VerifyAndApplyDelete(const Digest& trusted_root,
 /// \return the in-range (key,value) pairs in key order.
 TCVS_ENDORSER Result<std::vector<std::pair<Bytes, Bytes>>> VerifyRangeRead(
     const Digest& trusted_root, const TreeParams& params, const Bytes& lo,
-    const Bytes& hi, const RangeVO& vo, VoCache* cache = nullptr);
+    const Bytes& hi, const RangeVO& vo);
 
 // ---- Tainted-VO entry points ----------------------------------------------
 // The verify functions ARE the endorsers for wire VOs: a Tainted VO from
@@ -290,39 +177,37 @@ TCVS_ENDORSER Result<std::vector<std::pair<Bytes, Bytes>>> VerifyRangeRead(
 /// the first endorsement step of every client chain walk (the digest, not
 /// the VO, is what becomes trusted).
 TCVS_ENDORSER inline Result<Digest> VerifiedRootDigest(
-    const util::Tainted<PointVO>& vo, VoCache* cache = nullptr) {
-  return vo.untrusted().root.VerifiedDigest(cache);
+    const util::Tainted<PointVO>& vo) {
+  return vo.untrusted().root.VerifiedDigest();
 }
 TCVS_ENDORSER inline Result<Digest> VerifiedRootDigest(
-    const util::Tainted<RangeVO>& vo, VoCache* cache = nullptr) {
-  return vo.untrusted().root.VerifiedDigest(cache);
+    const util::Tainted<RangeVO>& vo) {
+  return vo.untrusted().root.VerifiedDigest();
 }
 
 TCVS_ENDORSER inline Result<std::optional<Bytes>> VerifyPointRead(
     const Digest& trusted_root, const TreeParams& params, const Bytes& key,
-    const util::Tainted<PointVO>& vo, VoCache* cache = nullptr) {
-  return VerifyPointRead(trusted_root, params, key, vo.untrusted(), cache);
+    const util::Tainted<PointVO>& vo) {
+  return VerifyPointRead(trusted_root, params, key, vo.untrusted());
 }
 
 TCVS_ENDORSER inline Result<Digest> VerifyAndApplyUpsert(
     const Digest& trusted_root, const TreeParams& params, const Bytes& key,
-    const Bytes& value, const util::Tainted<PointVO>& vo,
-    VoCache* cache = nullptr) {
-  return VerifyAndApplyUpsert(trusted_root, params, key, value, vo.untrusted(),
-                              cache);
+    const Bytes& value, const util::Tainted<PointVO>& vo) {
+  return VerifyAndApplyUpsert(trusted_root, params, key, value, vo.untrusted());
 }
 
 TCVS_ENDORSER inline Result<Digest> VerifyAndApplyDelete(
     const Digest& trusted_root, const TreeParams& params, const Bytes& key,
-    const util::Tainted<PointVO>& vo, VoCache* cache = nullptr) {
-  return VerifyAndApplyDelete(trusted_root, params, key, vo.untrusted(), cache);
+    const util::Tainted<PointVO>& vo) {
+  return VerifyAndApplyDelete(trusted_root, params, key, vo.untrusted());
 }
 
 TCVS_ENDORSER inline Result<std::vector<std::pair<Bytes, Bytes>>>
 VerifyRangeRead(const Digest& trusted_root, const TreeParams& params,
                 const Bytes& lo, const Bytes& hi,
-                const util::Tainted<RangeVO>& vo, VoCache* cache = nullptr) {
-  return VerifyRangeRead(trusted_root, params, lo, hi, vo.untrusted(), cache);
+                const util::Tainted<RangeVO>& vo) {
+  return VerifyRangeRead(trusted_root, params, lo, hi, vo.untrusted());
 }
 
 /// \brief Digest of an empty tree (a single empty leaf); the well-known

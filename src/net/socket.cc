@@ -401,14 +401,20 @@ Result<TcpConnection> TcpListener::Accept(int timeout_ms) {
   return TcpConnection(cfd);
 }
 
-Result<uint16_t> ParsePort(const std::string& text) {
+Result<uint64_t> ParseUint(const std::string& text, uint64_t max) {
   const char* end = text.data() + text.size();
-  uint32_t value = 0;
+  uint64_t value = 0;
   const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (text.empty() || ec != std::errc() || ptr != end || value > 65535) {
-    return Status::InvalidArgument("port must be a number in 0..65535, got '" +
-                                   text + "'");
+  if (text.empty() || ec != std::errc() || ptr != end || value > max) {
+    return Status::InvalidArgument("expected a number in 0.." +
+                                   std::to_string(max) + ", got '" + text +
+                                   "'");
   }
+  return value;
+}
+
+Result<uint16_t> ParsePort(const std::string& text) {
+  TCVS_ASSIGN_OR_RETURN(uint64_t value, ParseUint(text, 65535));
   return static_cast<uint16_t>(value);
 }
 

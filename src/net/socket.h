@@ -126,8 +126,12 @@ class TcpListener {
   uint16_t port_ = 0;
 };
 
-/// \brief Parses a decimal TCP port, 0..65535. An empty, non-numeric or
-/// out-of-range value is InvalidArgument — never wrapped or defaulted.
+/// \brief Parses a decimal unsigned integer in 0..max. An empty, signed,
+/// non-numeric, partly numeric or out-of-range value is InvalidArgument —
+/// never wrapped, truncated or defaulted.
+Result<uint64_t> ParseUint(const std::string& text, uint64_t max);
+
+/// \brief Parses a decimal TCP port: ParseUint(text, 65535).
 Result<uint16_t> ParsePort(const std::string& text);
 
 }  // namespace net

@@ -36,6 +36,9 @@ Result<mtree::TreeParams> DeserializeParams(const Bytes& data) {
   TCVS_ASSIGN_OR_RETURN(uint64_t internal, r.GetU64());
   params.max_leaf_entries = leaf;
   params.max_internal_keys = internal;
+  // The client replays splits with these; a server must not talk it into
+  // parameters under which its own honest proofs fail to verify.
+  TCVS_RETURN_NOT_OK(mtree::ValidateTreeParams(params));
   return params;
 }
 

@@ -261,7 +261,8 @@ TEST(CliResilienceTest, ShutdownCommandStopsDaemon) {
 
 // A port is a number in 0..65535; anything else is a usage error (exit 2)
 // in both binaries — never wrapped (70000 would become 4464) or zeroed
-// ("abc" would become 0, an ephemeral port).
+// ("abc" would become 0, an ephemeral port). The other numeric arguments
+// follow the same rule within their own ranges.
 TEST(CliResilienceTest, BadPortsAreUsageErrors) {
   TempDir dir;
   const std::string state = dir.str() + "/alice.state";
@@ -284,6 +285,48 @@ TEST(CliResilienceTest, BadPortsAreUsageErrors) {
                         kTimeoutS),
               2)
         << "tcvsd --admin-port '" << bad << "': " << out;
+  }
+
+  // Every other numeric argument is validated the same way: a value that is
+  // not a decimal number in range is a usage error, never atoi's guess
+  // ("1x" → 1, "abc" → 0, "-1" → 4294967295).
+  for (const std::string bad : {"abc", "", "-1", "1x", "99999999999999999999"}) {
+    for (const std::string flag :
+         {"--user", "--retries", "--backoff-ms", "--timeout-ms"}) {
+      std::vector<std::string> args = {"--server", "127.0.0.1:1", "--user",
+                                       "1", "--state", state, flag, bad, "ls"};
+      EXPECT_EQ(RunBinary(TCVS_BIN, args, &out, kTimeoutS), 2)
+          << "tcvs " << flag << " '" << bad << "': " << out;
+    }
+    EXPECT_EQ(RunBinary(TCVS_BIN,
+                        {"--server", "127.0.0.1:1", "--user", "1", "--state",
+                         state, "commit", "a.c", bad, "content"},
+                        &out, kTimeoutS),
+              2)
+        << "tcvs commit base revision '" << bad << "': " << out;
+    for (const std::string flag :
+         {"--fanout", "--threads", "--group-commit-window-us",
+          "--log-json-interval-ms", "--trace-capacity", "--slow-op-us",
+          "--profile-hz"}) {
+      EXPECT_EQ(RunBinary(TCVSD_BIN, {"--port", "0", flag, bad}, &out,
+                          kTimeoutS),
+                2)
+          << "tcvsd " << flag << " '" << bad << "': " << out;
+    }
+  }
+  EXPECT_EQ(RunBinary(TCVS_BIN,
+                      {"--server", "127.0.0.1:1", "--user", "4294967296",
+                       "--state", state, "ls"},
+                      &out, kTimeoutS),
+            2)
+      << out;
+  // A fanout below 2 breaks the tree protocol (an honest server's proofs
+  // fail to verify, and 0 crashes Delete): a usage error too.
+  for (const std::string fanout : {"0", "1"}) {
+    EXPECT_EQ(RunBinary(TCVSD_BIN, {"--port", "0", "--fanout", fanout}, &out,
+                        kTimeoutS),
+              2)
+        << "tcvsd --fanout " << fanout << ": " << out;
   }
   EXPECT_FALSE(std::filesystem::exists(state));
 

@@ -508,48 +508,18 @@ TEST(LocalCacheTest, RoundTripAndPrefixList) {
 
   EXPECT_FALSE(
       cvs::LocalCache::Deserialize(util::ToBytes("not a cache")).ok());
-}
 
-TEST(LocalCacheTest, VoSidecarRoundTripAndBackwardCompat) {
-  // The VO subtree-cache sidecar persists and restores through the cache
-  // file; a pre-sidecar file (files only, nothing after) still parses.
-  mtree::MerkleBTree tree;
-  for (int i = 0; i < 50; ++i) {
-    tree.Upsert(util::ToBytes("k" + std::to_string(i)), util::ToBytes("v"));
-  }
-  mtree::VoCache vo_cache;
-  mtree::PointVO vo = tree.ProvePoint(util::ToBytes("k7"));
-  ASSERT_TRUE(mtree::VerifyPointRead(tree.root_digest(), tree.params(),
-                                     util::ToBytes("k7"), vo, &vo_cache)
-                  .ok());
-  ASSERT_GT(vo_cache.size(), 0u);
-
-  cvs::LocalCache cache;
-  cache.Put("src/a.c", cvs::FileRecord{1, "A"});
-  cache.StoreVoEntries(vo_cache);
-  EXPECT_EQ(cache.vo_entry_count(), vo_cache.size());
-
-  auto back = cvs::LocalCache::Deserialize(cache.Serialize());
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->vo_entry_count(), vo_cache.size());
-  mtree::VoCache restored;
-  back->LoadVoEntriesInto(&restored);
-  EXPECT_EQ(restored.size(), vo_cache.size());
-  // The restored cache actually serves hits.
-  EXPECT_NE(restored.Lookup(mtree::VoCache::SubtreeKey(vo.root)), nullptr);
-
-  // Backward compatibility: an old-format file ends right after the file
-  // records. Reconstruct one by hand and parse it.
-  util::Writer w;
-  w.PutString("tcvs-cache-v1");
-  w.PutU64(1);
-  w.PutString("src/a.c");
-  w.PutU64(1);
-  w.PutString("A");
-  auto old = cvs::LocalCache::Deserialize(w.Take());
-  ASSERT_TRUE(old.ok()) << old.status().ToString();
-  EXPECT_EQ(old->size(), 1u);
-  EXPECT_EQ(old->vo_entry_count(), 0u);
+  // The file is the records and nothing else: trailing bytes (such as the
+  // proof sidecar older builds appended) are Corruption, which tcvs treats
+  // as a cold cache.
+  Bytes trailing = cache.Serialize();
+  util::Writer sidecar;
+  sidecar.PutU64(1);
+  sidecar.PutBytes(Bytes(32, 0xAB));
+  sidecar.PutBytes(Bytes(32, 0xCD));
+  const Bytes extra = sidecar.Take();
+  trailing.insert(trailing.end(), extra.begin(), extra.end());
+  EXPECT_TRUE(cvs::LocalCache::Deserialize(trailing).status().IsCorruption());
 }
 
 }  // namespace

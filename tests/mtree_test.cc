@@ -2,13 +2,15 @@
 
 #include <map>
 #include <set>
+#include <string>
+#include <tuple>
 
 #include "mtree/btree.h"
 #include "mtree/client.h"
 #include "mtree/vo.h"
 #include "util/audit.h"
-#include "util/metrics.h"
 #include "util/random.h"
+#include "util/serde.h"
 
 namespace tcvs {
 namespace mtree {
@@ -721,6 +723,29 @@ TEST(SnapshotTest, WrongEntryCountRejected) {
   EXPECT_TRUE(MerkleBTree::Deserialize(snapshot).status().IsCorruption());
 }
 
+TEST(SnapshotTest, FanoutBelowTwoRejected) {
+  // An empty-tree snapshot written by hand, so its params can be anything.
+  auto snapshot = [](uint64_t max_leaf, uint64_t max_internal) {
+    util::Writer w;
+    w.PutString("tcvs-mtree-v1");
+    w.PutU64(max_leaf);
+    w.PutU64(max_internal);
+    w.PutU64(0);  // entries
+    w.PutU8(1);   // root is a leaf...
+    w.PutU32(0);  // ...with no entries
+    return w.Take();
+  };
+  ASSERT_TRUE(MerkleBTree::Deserialize(snapshot(2, 2)).ok());
+  for (const auto& [leaf, internal] :
+       std::vector<std::pair<uint64_t, uint64_t>>{{1, 1}, {1, 8}, {8, 1},
+                                                  {0, 0}}) {
+    EXPECT_TRUE(MerkleBTree::Deserialize(snapshot(leaf, internal))
+                    .status()
+                    .IsInvalidArgument())
+        << "leaf=" << leaf << " internal=" << internal;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // VO size scaling (the O(log n) claim behind paper Figure 2)
 // ---------------------------------------------------------------------------
@@ -738,300 +763,117 @@ TEST(VoSizeTest, GrowsLogarithmically) {
 }
 
 // ---------------------------------------------------------------------------
-// VO subtree cache: repeat proofs shortcut to one hash — without ever
-// weakening what verification accepts.
+// Forged and stale proofs at every verify entry point
 // ---------------------------------------------------------------------------
 
-uint64_t CacheCounter(const std::string& name) {
-  auto snap = util::MetricsRegistry::Instance().Snapshot();
-  auto it = snap.counters.find(name);
-  return it == snap.counters.end() ? 0 : it->second;
+// Every entry point recomputes the root digest from the whole proof, so a
+// self-consistent proof of a forged state and a replay of a once-valid stale
+// proof both reach the trusted-root comparison: VerificationFailure, plus
+// kVoMismatch evidence naming the trusted and the presented root. The VOs go
+// through the wire and the Tainted overloads, as a client's do.
+
+enum class VerifyEntry { kPointRead, kUpsert, kDelete, kRangeRead };
+enum class ProofAttack { kForgedState, kStaleReplay };
+
+struct Proofs {
+  Bytes point;  // ProvePoint(7)
+  Bytes range;  // ProveRange(5, 9)
+};
+
+Proofs ProofsOf(const MerkleBTree& tree) {
+  return {tree.ProvePoint(NumKey(7)).Serialize(),
+          tree.ProveRange(NumKey(5), NumKey(9)).Serialize()};
 }
 
-TEST(VoCacheTest, RepeatVerifyHitsAndMatchesColdResult) {
-  MerkleBTree tree;
-  for (int i = 0; i < 200; ++i) tree.Upsert(NumKey(i), NumKey(1000 + i));
-  PointVO vo = tree.ProvePoint(NumKey(7));
-
-  VoCache cache;
-  const uint64_t hits_before = CacheCounter("mtree.vo.cache.hits_total");
-  auto cold = VerifyPointRead(tree.root_digest(), tree.params(), NumKey(7), vo,
-                              &cache);
-  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-  EXPECT_GT(cache.size(), 0u);
-  EXPECT_EQ(CacheCounter("mtree.vo.cache.hits_total"), hits_before);
-
-  // Same proof again: the root subtree hits, nothing re-walks, and the
-  // answer is byte-identical.
-  auto warm = VerifyPointRead(tree.root_digest(), tree.params(), NumKey(7), vo,
-                              &cache);
-  ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(**warm, **cold);
-  EXPECT_GT(CacheCounter("mtree.vo.cache.hits_total"), hits_before);
-}
-
-TEST(VoCacheTest, TamperedSubtreeWithWarmCacheFiresVoMismatchAudit) {
-  // An attacker serving a self-consistent proof of a *different* database
-  // state must be caught even when the victim's cache is warm: the forged
-  // content misses (different bytes → different key), verifies to the forged
-  // root, and the trusted-root comparison fires kVoMismatch audit evidence.
-  MerkleBTree honest, forged;
-  for (int i = 0; i < 100; ++i) {
-    honest.Upsert(NumKey(i), NumKey(i));
-    forged.Upsert(NumKey(i), NumKey(i));
+Status VerifyWith(VerifyEntry entry, const Digest& trusted_root,
+                  const TreeParams& params, const Proofs& proofs) {
+  if (entry == VerifyEntry::kRangeRead) {
+    auto vo = RangeVO::Deserialize(proofs.range);
+    if (!vo.ok()) return vo.status();
+    return VerifyRangeRead(trusted_root, params, NumKey(5), NumKey(9), *vo)
+        .status();
   }
-  forged.Upsert(NumKey(7), K("tampered"));
+  auto vo = PointVO::Deserialize(proofs.point);
+  if (!vo.ok()) return vo.status();
+  switch (entry) {
+    case VerifyEntry::kPointRead:
+      return VerifyPointRead(trusted_root, params, NumKey(7), *vo).status();
+    case VerifyEntry::kUpsert:
+      return VerifyAndApplyUpsert(trusted_root, params, NumKey(7), K("next"),
+                                  *vo)
+          .status();
+    default:
+      return VerifyAndApplyDelete(trusted_root, params, NumKey(7), *vo)
+          .status();
+  }
+}
 
-  VoCache cache;
-  // Warm the cache with honest traffic.
-  PointVO honest_vo = honest.ProvePoint(NumKey(7));
-  ASSERT_TRUE(VerifyPointRead(honest.root_digest(), honest.params(), NumKey(7),
-                              honest_vo, &cache)
-                  .ok());
-  ASSERT_GT(cache.size(), 0u);
+std::string ProofAttackName(
+    const ::testing::TestParamInfo<std::tuple<VerifyEntry, ProofAttack>>&
+        info) {
+  static const char* const kEntries[] = {"PointRead", "Upsert", "Delete",
+                                         "RangeRead"};
+  return std::string(kEntries[static_cast<int>(std::get<0>(info.param))]) +
+         (std::get<1>(info.param) == ProofAttack::kForgedState
+              ? "_ForgedState"
+              : "_StaleReplay");
+}
 
-  const size_t events_before = util::AuditLog::Instance().Snapshot().size();
-  PointVO forged_vo = forged.ProvePoint(NumKey(7));
-  auto res = VerifyPointRead(honest.root_digest(), honest.params(), NumKey(7),
-                             forged_vo, &cache);
-  EXPECT_TRUE(res.status().IsVerificationFailure()) << res.status().ToString();
+class ProofAttackTest
+    : public ::testing::TestWithParam<std::tuple<VerifyEntry, ProofAttack>> {};
 
-  auto events = util::AuditLog::Instance().Snapshot();
-  ASSERT_GT(events.size(), events_before);
+TEST_P(ProofAttackTest, RejectedWithVoMismatchNamingBothRoots) {
+  const auto [entry, attack] = GetParam();
+  TreeParams params{.max_leaf_entries = 4, .max_internal_keys = 4};
+  MerkleBTree tree(params);
+  for (int i = 0; i < 100; ++i) tree.Upsert(NumKey(i), NumKey(i));
+
+  Digest trusted_root;
+  Digest presented_root;
+  Proofs proofs;
+  if (attack == ProofAttack::kForgedState) {
+    // A server that keeps a different database and proves it faithfully.
+    MerkleBTree forged(params);
+    for (int i = 0; i < 100; ++i) forged.Upsert(NumKey(i), NumKey(i));
+    forged.Upsert(NumKey(7), K("forged"));
+    trusted_root = tree.root_digest();
+    presented_root = forged.root_digest();
+    proofs = ProofsOf(forged);
+  } else {
+    // A server that replays a proof which verified before the root moved.
+    proofs = ProofsOf(tree);
+    presented_root = tree.root_digest();
+    ASSERT_TRUE(VerifyWith(entry, presented_root, params, proofs).ok());
+    tree.Upsert(NumKey(7), K("new-value"));
+    trusted_root = tree.root_digest();
+  }
+  ASSERT_NE(trusted_root, presented_root);
+
+  const std::vector<util::AuditEvent> before =
+      util::AuditLog::Instance().Snapshot();
+  const uint64_t last_seq = before.empty() ? 0 : before.back().seq;
+  Status st = VerifyWith(entry, trusted_root, params, proofs);
+  EXPECT_TRUE(st.IsVerificationFailure()) << st.ToString();
+
   bool saw = false;
-  for (size_t i = events_before; i < events.size(); ++i) {
-    if (events[i].kind == util::AuditEventKind::kVoMismatch) saw = true;
+  for (const auto& event : util::AuditLog::Instance().SnapshotSince(last_seq)) {
+    if (event.kind != util::AuditEventKind::kVoMismatch) continue;
+    saw = true;
+    EXPECT_EQ(event.expected_digest, trusted_root);
+    EXPECT_EQ(event.actual_digest, presented_root);
   }
-  EXPECT_TRUE(saw) << "tampered subtree must be audited as kVoMismatch";
+  EXPECT_TRUE(saw) << "no kVoMismatch audit event";
 }
 
-TEST(VoCacheTest, StaleReplayHitsCacheAndIsStillRejected) {
-  // The dangerous case for any proof cache: the server replays a whole VO
-  // that WAS valid once. The replay hits the cache (identical bytes), but a
-  // hit only returns the OLD digest — which no longer equals the advanced
-  // trusted root, so the replay is rejected with audit evidence.
-  MerkleBTree tree;
-  for (int i = 0; i < 100; ++i) tree.Upsert(NumKey(i), NumKey(i));
-  Digest old_root = tree.root_digest();
-  PointVO stale = tree.ProvePoint(NumKey(3));
-
-  VoCache cache;
-  ASSERT_TRUE(
-      VerifyPointRead(old_root, tree.params(), NumKey(3), stale, &cache).ok());
-
-  tree.Upsert(NumKey(3), K("new-value"));  // Trusted root advances.
-
-  const uint64_t hits_before = CacheCounter("mtree.vo.cache.hits_total");
-  const size_t events_before = util::AuditLog::Instance().Snapshot().size();
-  auto res =
-      VerifyPointRead(tree.root_digest(), tree.params(), NumKey(3), stale,
-                      &cache);
-  EXPECT_TRUE(res.status().IsVerificationFailure()) << res.status().ToString();
-  // The cache WAS consulted and hit — and the replay still failed.
-  EXPECT_GT(CacheCounter("mtree.vo.cache.hits_total"), hits_before);
-  EXPECT_GT(util::AuditLog::Instance().Snapshot().size(), events_before);
-}
-
-TEST(VoCacheTest, UpsertReplayMatchesUncachedAndInvalidatesPreState) {
-  TreeParams params{.max_leaf_entries = 4, .max_internal_keys = 4};
-  MerkleBTree tree(params);
-  VoCache cache;
-  TreeClient cached = TreeClient::ForEmptyDatabase(params);
-  cached.AttachVoCache(&cache);
-  TreeClient plain = TreeClient::ForEmptyDatabase(params);
-
-  const uint64_t invalidations_before =
-      CacheCounter("mtree.vo.cache.invalidations_total");
-  for (int i = 0; i < 64; ++i) {
-    PointVO vo = tree.Upsert(NumKey(i), NumKey(i));
-    auto a = cached.ApplyUpsert(NumKey(i), NumKey(i), vo);
-    auto b = plain.ApplyUpsert(NumKey(i), NumKey(i), vo);
-    ASSERT_TRUE(a.ok()) << a.status().ToString();
-    ASSERT_TRUE(b.ok());
-    ASSERT_EQ(*a, *b) << "cached and uncached replay diverged at i=" << i;
-    ASSERT_EQ(*a, tree.root_digest());
-  }
-  // Each applied upsert invalidated its (now stale) pre-state path.
-  EXPECT_GT(CacheCounter("mtree.vo.cache.invalidations_total"),
-            invalidations_before);
-}
-
-TEST(VoCacheTest, DeleteReplayMatchesUncached) {
-  TreeParams params{.max_leaf_entries = 4, .max_internal_keys = 4};
-  MerkleBTree tree(params);
-  for (int i = 0; i < 32; ++i) tree.Upsert(NumKey(i), NumKey(i));
-  VoCache cache;
-  TreeClient cached(tree.root_digest(), params);
-  cached.AttachVoCache(&cache);
-  TreeClient plain(tree.root_digest(), params);
-  for (int i = 0; i < 32; i += 3) {
-    bool found = false;
-    PointVO vo = tree.Delete(NumKey(i), &found);
-    ASSERT_TRUE(found);
-    auto a = cached.ApplyDelete(NumKey(i), vo);
-    auto b = plain.ApplyDelete(NumKey(i), vo);
-    ASSERT_TRUE(a.ok()) << a.status().ToString();
-    ASSERT_TRUE(b.ok());
-    ASSERT_EQ(*a, *b);
-    ASSERT_EQ(*a, tree.root_digest());
-  }
-}
-
-TEST(VoCacheTest, EvictionKeepsCacheBounded) {
-  MerkleBTree tree;
-  for (int i = 0; i < 500; ++i) tree.Upsert(NumKey(i), NumKey(i));
-  VoCache cache(/*max_entries=*/8);
-  for (int i = 0; i < 500; i += 7) {
-    PointVO vo = tree.ProvePoint(NumKey(i));
-    ASSERT_TRUE(VerifyPointRead(tree.root_digest(), tree.params(), NumKey(i),
-                                vo, &cache)
-                    .ok());
-    ASSERT_LE(cache.size(), 8u);
-  }
-  EXPECT_GT(CacheCounter("mtree.vo.cache.evictions_total"), 0u);
-}
-
-TEST(VoCacheTest, ConsistencyViolationAuditedAndEntryDropped) {
-  // One content key mapping to two digests is impossible for honest inserts
-  // (the key is a hash of everything the digest derives from); if it ever
-  // happens the cache must not pick a winner silently.
-  VoCache cache;
-  Digest key = crypto::Sha256::Hash("some content key");
-  Digest d1 = crypto::Sha256::Hash("digest one");
-  Digest d2 = crypto::Sha256::Hash("digest two");
-  cache.Insert(key, d1);
-  ASSERT_NE(cache.Lookup(key), nullptr);
-
-  const size_t events_before = util::AuditLog::Instance().Snapshot().size();
-  cache.Insert(key, d2);
-  EXPECT_EQ(cache.Lookup(key), nullptr) << "conflicted entry must be dropped";
-  auto events = util::AuditLog::Instance().Snapshot();
-  ASSERT_GT(events.size(), events_before);
-  EXPECT_EQ(events.back().kind, util::AuditEventKind::kVoMismatch);
-}
-
-TEST(VoCacheTest, ExportRestoreRoundTripStaysWarm) {
-  MerkleBTree tree;
-  for (int i = 0; i < 100; ++i) tree.Upsert(NumKey(i), NumKey(i));
-  PointVO vo = tree.ProvePoint(NumKey(42));
-  VoCache first;
-  ASSERT_TRUE(VerifyPointRead(tree.root_digest(), tree.params(), NumKey(42),
-                              vo, &first)
-                  .ok());
-  ASSERT_GT(first.size(), 0u);
-
-  VoCache second;
-  for (const auto& [key, digest] : first.Export()) second.Restore(key, digest);
-  EXPECT_EQ(second.size(), first.size());
-
-  const uint64_t hits_before = CacheCounter("mtree.vo.cache.hits_total");
-  ASSERT_TRUE(VerifyPointRead(tree.root_digest(), tree.params(), NumKey(42),
-                              vo, &second)
-                  .ok());
-  EXPECT_GT(CacheCounter("mtree.vo.cache.hits_total"), hits_before);
-}
-
-TEST(VoCacheTest, RangeVerifyCachesAndRepeats) {
-  MerkleBTree tree;
-  for (int i = 0; i < 200; ++i) tree.Upsert(NumKey(i), NumKey(i));
-  RangeVO vo = tree.ProveRange(NumKey(10), NumKey(30));
-  VoCache cache;
-  auto cold = VerifyRangeRead(tree.root_digest(), tree.params(), NumKey(10),
-                              NumKey(30), vo, &cache);
-  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-  const uint64_t hits_before = CacheCounter("mtree.vo.cache.hits_total");
-  auto warm = VerifyRangeRead(tree.root_digest(), tree.params(), NumKey(10),
-                              NumKey(30), vo, &cache);
-  ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(*warm, *cold);
-  EXPECT_GT(CacheCounter("mtree.vo.cache.hits_total"), hits_before);
-}
-
-TEST(VoCacheTest, PointReadMemoHitSkipsHashingAndMatchesColdAnswer) {
-  MerkleBTree tree;
-  for (int i = 0; i < 300; ++i) tree.Upsert(NumKey(i), NumKey(2000 + i));
-  PointVO vo = tree.ProvePoint(NumKey(42));
-
-  VoCache cache;
-  auto cold = VerifyPointRead(tree.root_digest(), tree.params(), NumKey(42),
-                              vo, &cache);
-  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-  EXPECT_GT(cache.read_memo_count(), 0u);
-
-  const uint64_t memo_hits_before =
-      CacheCounter("mtree.vo.cache.read_memo_hits_total");
-  auto warm = VerifyPointRead(tree.root_digest(), tree.params(), NumKey(42),
-                              vo, &cache);
-  ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(**warm, **cold);
-  EXPECT_GT(CacheCounter("mtree.vo.cache.read_memo_hits_total"), memo_hits_before);
-
-  // Non-membership memoizes too: nullopt answers round-trip through the memo.
-  PointVO absent_vo = tree.ProvePoint(NumKey(999999));
-  auto absent_cold = VerifyPointRead(tree.root_digest(), tree.params(),
-                                     NumKey(999999), absent_vo, &cache);
-  ASSERT_TRUE(absent_cold.ok());
-  EXPECT_FALSE(absent_cold->has_value());
-  auto absent_warm = VerifyPointRead(tree.root_digest(), tree.params(),
-                                     NumKey(999999), absent_vo, &cache);
-  ASSERT_TRUE(absent_warm.ok());
-  EXPECT_FALSE(absent_warm->has_value());
-}
-
-TEST(VoCacheTest, PointReadMemoTamperedLeafFallsThroughAndIsRejected) {
-  // A warm memo must never vouch for different leaf bytes: a proof whose
-  // leaf was substituted misses the memo (bytewise comparison), goes
-  // through full verification, and is rejected with kVoMismatch evidence.
-  MerkleBTree honest, forged;
-  for (int i = 0; i < 120; ++i) {
-    honest.Upsert(NumKey(i), NumKey(i));
-    forged.Upsert(NumKey(i), NumKey(i));
-  }
-  forged.Upsert(NumKey(42), K("forged-value"));
-
-  VoCache cache;
-  PointVO honest_vo = honest.ProvePoint(NumKey(42));
-  ASSERT_TRUE(VerifyPointRead(honest.root_digest(), honest.params(),
-                              NumKey(42), honest_vo, &cache)
-                  .ok());
-  ASSERT_GT(cache.read_memo_count(), 0u);
-
-  const size_t events_before = util::AuditLog::Instance().Snapshot().size();
-  PointVO forged_vo = forged.ProvePoint(NumKey(42));
-  auto r = VerifyPointRead(honest.root_digest(), honest.params(), NumKey(42),
-                           forged_vo, &cache);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kVerificationFailure);
-  auto events = util::AuditLog::Instance().Snapshot();
-  ASSERT_GT(events.size(), events_before);
-  EXPECT_EQ(events.back().kind, util::AuditEventKind::kVoMismatch);
-}
-
-TEST(VoCacheTest, PointReadMemoInvalidatedWhenEpochAdvances) {
-  MerkleBTree tree;
-  for (int i = 0; i < 100; ++i) tree.Upsert(NumKey(i), NumKey(i));
-
-  VoCache cache;
-  TreeClient client(tree.root_digest(), tree.params());
-  client.AttachVoCache(&cache);
-  PointVO read_vo = tree.ProvePoint(NumKey(5));
-  ASSERT_TRUE(client.Read(NumKey(5), read_vo).ok());
-  ASSERT_GT(cache.read_memo_count(), 0u);
-
-  // A verified upsert advances the epoch: every memo of the old root drops.
-  PointVO pre = tree.ProvePoint(NumKey(5));
-  tree.Upsert(NumKey(5), K("new-value"));
-  ASSERT_TRUE(client.ApplyUpsert(NumKey(5), K("new-value"), pre).ok());
-  EXPECT_EQ(cache.read_memo_count(), 0u);
-
-  // The next read under the new root re-verifies in full and re-memoizes
-  // the fresh answer — the stale value can never be served.
-  PointVO fresh = tree.ProvePoint(NumKey(5));
-  auto r = client.Read(NumKey(5), fresh);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(**r, K("new-value"));
-  EXPECT_GT(cache.read_memo_count(), 0u);
-}
+INSTANTIATE_TEST_SUITE_P(
+    AllEntryPoints, ProofAttackTest,
+    ::testing::Combine(::testing::Values(VerifyEntry::kPointRead,
+                                         VerifyEntry::kUpsert,
+                                         VerifyEntry::kDelete,
+                                         VerifyEntry::kRangeRead),
+                       ::testing::Values(ProofAttack::kForgedState,
+                                         ProofAttack::kStaleReplay)),
+    ProofAttackName);
 
 }  // namespace
 }  // namespace mtree

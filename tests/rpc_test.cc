@@ -269,5 +269,49 @@ TEST_F(ServedRepository, TamperBehindRpcDetectedAtSyncCheck) {
                   .IsDeviationDetected());  // ...but the chain broke.
 }
 
+// A server cannot talk a client into tree params below 2, under which the
+// client's replay would reject the server's own honest proofs.
+class FanoutOneServer : public cvs::ServerApi {
+ public:
+  Result<util::Tainted<cvs::ServerReply>> Transact(
+      uint32_t user, const std::vector<cvs::FileOp>& ops) override {
+    return inner_.Transact(user, ops);
+  }
+  Result<util::Tainted<cvs::ListReply>> List(
+      uint32_t user, const std::string& prefix) override {
+    return inner_.List(user, prefix);
+  }
+  Result<util::Tainted<cvs::LogCheckpointReply>> LogCheckpoint(
+      uint64_t old_size) override {
+    return inner_.LogCheckpoint(old_size);
+  }
+  mtree::TreeParams tree_params() const override { return {1, 1}; }
+
+ private:
+  cvs::UntrustedServer inner_;
+};
+
+TEST(RpcParamsTest, ServerReportingFanoutBelowTwoIsRejectedAtConnect) {
+  auto listener = net::TcpListener::Bind(0);
+  ASSERT_TRUE(listener.ok());
+  const uint16_t port = listener->port();
+  FanoutOneServer server;
+  std::thread serve([l = std::move(listener).ValueOrDie(), &server]() mutable {
+    (void)rpc::Serve(&l, &server);
+  });
+
+  auto remote = rpc::RemoteServer::Connect("127.0.0.1", port);
+  EXPECT_TRUE(remote.status().IsInvalidArgument()) << remote.status().ToString();
+
+  // RemoteServer cannot connect, so stop the loop with a raw Shutdown frame.
+  auto conn = net::TcpConnection::Connect("127.0.0.1", port);
+  ASSERT_TRUE(conn.ok());
+  rpc::RpcRequest shutdown;
+  shutdown.type = rpc::RpcType::kShutdown;
+  ASSERT_TRUE(conn->SendFrame(shutdown.Serialize()).ok());
+  (void)conn->ReceiveFrame();
+  serve.join();
+}
+
 }  // namespace
 }  // namespace tcvs

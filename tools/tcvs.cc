@@ -44,16 +44,18 @@
 //
 // When the server stays unreachable past the retry budget, read commands
 // (cat / checkout / ls) degrade to serving the last *verified* records from
-// the local cache sidecar (STATE.cache) instead of aborting — read-only,
+// the local cache file (STATE.cache) instead of aborting — read-only,
 // possibly stale, never unverified. Mutations fail with Unavailable.
 //
 // Exit codes: 0 success, 1 operation error, 2 usage (including a port that
-// is not a number in 0..65535), 3 SERVER DEVIATION DETECTED.
+// is not a number in 0..65535 and any other numeric argument that is not a
+// decimal number in its type's range), 3 SERVER DEVIATION DETECTED.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -88,6 +90,17 @@ int Usage() {
                "top [--interval-ms MS] [--frames N] | "
                "profile [--seconds N] [--hz N]\n");
   return 2;
+}
+
+/// Parses a numeric argument into `*out`; false (a usage error) unless it
+/// is a decimal number that fits T — never wrapped or truncated.
+template <typename T>
+bool ParseNumber(const std::string& text, T* out) {
+  auto parsed = net::ParseUint(
+      text, static_cast<uint64_t>(std::numeric_limits<T>::max()));
+  if (!parsed.ok()) return false;
+  *out = static_cast<T>(*parsed);
+  return true;
 }
 
 /// Splits "HOST:PORT"; false when the colon is missing or the port is not
@@ -327,9 +340,9 @@ int RunAdminCommand(const std::vector<std::string>& args,
     int hz = 100;
     for (size_t i = 1; i < args.size(); ++i) {
       if (args[i] == "--seconds" && i + 1 < args.size()) {
-        seconds = std::atoi(args[++i].c_str());
+        if (!ParseNumber(args[++i], &seconds)) return Usage();
       } else if (args[i] == "--hz" && i + 1 < args.size()) {
-        hz = std::atoi(args[++i].c_str());
+        if (!ParseNumber(args[++i], &hz)) return Usage();
       } else {
         return Usage();
       }
@@ -355,9 +368,9 @@ int RunAdminCommand(const std::vector<std::string>& args,
     int frames = 1;
     for (size_t i = 1; i < args.size(); ++i) {
       if (args[i] == "--interval-ms" && i + 1 < args.size()) {
-        interval_ms = std::atoi(args[++i].c_str());
+        if (!ParseNumber(args[++i], &interval_ms)) return Usage();
       } else if (args[i] == "--frames" && i + 1 < args.size()) {
-        frames = std::atoi(args[++i].c_str());
+        if (!ParseNumber(args[++i], &frames)) return Usage();
       } else {
         return Usage();
       }
@@ -394,23 +407,34 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--admin") == 0 && i + 1 < argc) {
       if (!ParseHostPort(argv[++i], &admin_host, &admin_port)) return Usage();
     } else if (std::strcmp(argv[i], "--user") == 0 && i + 1 < argc) {
-      user = static_cast<uint32_t>(std::atoi(argv[++i]));
+      if (!ParseNumber(argv[++i], &user)) return Usage();
     } else if (std::strcmp(argv[i], "--state") == 0 && i + 1 < argc) {
       state_file = argv[++i];
     } else if (std::strcmp(argv[i], "--retries") == 0 && i + 1 < argc) {
-      remote_options.retry.max_attempts = std::atoi(argv[++i]);
+      if (!ParseNumber(argv[++i], &remote_options.retry.max_attempts)) {
+        return Usage();
+      }
     } else if (std::strcmp(argv[i], "--backoff-ms") == 0 && i + 1 < argc) {
-      remote_options.retry.initial_backoff_ms = std::atoi(argv[++i]);
+      if (!ParseNumber(argv[++i], &remote_options.retry.initial_backoff_ms)) {
+        return Usage();
+      }
     } else if (std::strcmp(argv[i], "--timeout-ms") == 0 && i + 1 < argc) {
-      int t = std::atoi(argv[++i]);
-      remote_options.connect_timeout_ms = t;
-      remote_options.io_timeout_ms = t;
+      if (!ParseNumber(argv[++i], &remote_options.io_timeout_ms)) {
+        return Usage();
+      }
+      remote_options.connect_timeout_ms = remote_options.io_timeout_ms;
     } else {
       args.emplace_back(argv[i]);
     }
   }
   if (args.empty()) return Usage();
   const std::string& cmd = args[0];
+  // A malformed commit is a usage error before any I/O, not after connect.
+  uint64_t base_revision = 0;
+  if (cmd == "commit" &&
+      (args.size() != 4 || !ParseNumber(args[2], &base_revision))) {
+    return Usage();
+  }
 
   // Offline commands first.
   if (cmd == "check") {
@@ -481,9 +505,6 @@ int main(int argc, char** argv) {
   }
   cvs::VerifyingClient client(state, remote->get());
   cvs::LocalCache cache = LoadCache(state_file);
-  // Warm the VO subtree cache from the sidecar: repeat proofs across CLI
-  // invocations then verify at one hash per unchanged subtree.
-  cache.LoadVoEntriesInto(client.vo_cache());
   bool cache_dirty = false;
 
   int rc = 0;
@@ -504,9 +525,7 @@ int main(int argc, char** argv) {
       }
     }
   } else if (cmd == "commit") {
-    if (args.size() != 4) return Usage();
-    uint64_t base = std::strtoull(args[2].c_str(), nullptr, 10);
-    auto rev = client.Commit(args[1], args[3], base);
+    auto rev = client.Commit(args[1], args[3], base_revision);
     if (!rev.ok()) {
       rc = Fail(rev.status());
     } else {
@@ -557,10 +576,8 @@ int main(int argc, char** argv) {
         storage::AtomicWriteFile(state_file, client.state().Serialize());
     if (!st.ok()) return Fail(st);
     if (cache_dirty) {
-      // Best-effort: the cache only feeds degraded mode and proof warm-up;
-      // losing it costs availability/speed during an outage, never
-      // correctness.
-      cache.StoreVoEntries(*client.vo_cache());
+      // Best-effort: the cache only feeds degraded mode; losing it costs
+      // availability during an outage, never correctness.
       (void)storage::AtomicWriteFile(CachePath(state_file), cache.Serialize());
     }
   }

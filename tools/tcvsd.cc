@@ -13,6 +13,11 @@
 //         [--admin-port N] [--slow-op-us US]
 //         [--profile-hz HZ] [--no-contention-profile]
 //
+// --fanout F (at least 2, default 8) caps both the entries of a leaf and
+// the separators of an internal node; clients replay splits with it.
+// Every numeric flag must be a decimal number in range: anything else is a
+// usage error (exit 2), never wrapped or zeroed.
+//
 // --threads sizes the serve loop's worker pool: N connections are answered
 // concurrently (I/O in parallel, transaction execution serialized under the
 // serve lock — see ARCHITECTURE.md "Concurrency model"). Defaults to the
@@ -84,6 +89,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <thread>
 
 #include "cvs/trusted.h"
@@ -180,6 +186,17 @@ int Usage() {
   return 2;
 }
 
+/// Parses a numeric flag value into `*out`; false (a usage error) unless it
+/// is a decimal number that fits T — never wrapped or truncated.
+template <typename T>
+bool ParseNumber(const char* text, T* out) {
+  auto parsed = net::ParseUint(
+      text, static_cast<uint64_t>(std::numeric_limits<T>::max()));
+  if (!parsed.ok()) return false;
+  *out = static_cast<T>(*parsed);
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -208,37 +225,37 @@ int main(int argc, char** argv) {
       if (!parsed.ok()) return Usage();
       port = *parsed;
     } else if (std::strcmp(argv[i], "--fanout") == 0 && i + 1 < argc) {
-      fanout = static_cast<size_t>(std::atoi(argv[++i]));
+      if (!ParseNumber(argv[++i], &fanout)) return Usage();
     } else if (std::strcmp(argv[i], "--data-dir") == 0 && i + 1 < argc) {
       data_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      serve_options.num_threads = std::atoi(argv[++i]);
+      if (!ParseNumber(argv[++i], &serve_options.num_threads)) return Usage();
     } else if (std::strcmp(argv[i], "--no-fsync") == 0) {
       fsync = false;
     } else if (std::strcmp(argv[i], "--fsync") == 0) {
       fsync = true;
     } else if (std::strcmp(argv[i], "--group-commit-window-us") == 0 &&
                i + 1 < argc) {
-      group_commit_window_us = static_cast<uint32_t>(std::atoi(argv[++i]));
+      if (!ParseNumber(argv[++i], &group_commit_window_us)) return Usage();
     } else if (std::strcmp(argv[i], "--log-json") == 0) {
       log_json = true;
     } else if (std::strcmp(argv[i], "--log-json-interval-ms") == 0 &&
                i + 1 < argc) {
       log_json = true;
-      log_json_interval_ms = std::atoi(argv[++i]);
+      if (!ParseNumber(argv[++i], &log_json_interval_ms)) return Usage();
     } else if (std::strcmp(argv[i], "--trace") == 0) {
       trace = true;
     } else if (std::strcmp(argv[i], "--trace-capacity") == 0 && i + 1 < argc) {
       trace = true;  // Asking for a buffer size implies wanting the buffer.
-      trace_capacity = std::strtoull(argv[++i], nullptr, 10);
+      if (!ParseNumber(argv[++i], &trace_capacity)) return Usage();
     } else if (std::strcmp(argv[i], "--admin-port") == 0 && i + 1 < argc) {
       auto parsed = net::ParsePort(argv[++i]);
       if (!parsed.ok()) return Usage();
       admin_port = *parsed;
     } else if (std::strcmp(argv[i], "--slow-op-us") == 0 && i + 1 < argc) {
-      serve_options.slow_op_us = std::strtoull(argv[++i], nullptr, 10);
+      if (!ParseNumber(argv[++i], &serve_options.slow_op_us)) return Usage();
     } else if (std::strcmp(argv[i], "--profile-hz") == 0 && i + 1 < argc) {
-      profile_hz = std::atoi(argv[++i]);
+      if (!ParseNumber(argv[++i], &profile_hz)) return Usage();
     } else if (std::strcmp(argv[i], "--contention-profile") == 0) {
       contention_profile = true;
     } else if (std::strcmp(argv[i], "--no-contention-profile") == 0) {
@@ -249,6 +266,11 @@ int main(int argc, char** argv) {
   }
   if (serve_options.num_threads < 1) {
     std::fprintf(stderr, "tcvsd: --threads must be >= 1\n");
+    return 2;
+  }
+  const mtree::TreeParams params{fanout, fanout};
+  if (Status st = mtree::ValidateTreeParams(params); !st.ok()) {
+    std::fprintf(stderr, "tcvsd: --fanout: %s\n", st.ToString().c_str());
     return 2;
   }
 
@@ -279,7 +301,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  mtree::TreeParams params{fanout, fanout};
   std::unique_ptr<cvs::UntrustedServer> memory_server;
   std::unique_ptr<storage::DurableServer> durable_server;
   cvs::ServerApi* api = nullptr;
