@@ -13,7 +13,6 @@
 #include <map>
 
 #include "mtree/btree.h"
-#include "mtree/client.h"
 #include "util/random.h"
 
 namespace {
@@ -79,9 +78,8 @@ void BM_ClientVerifyRead(benchmark::State& state) {
   const size_t n = state.range(0);
   const mtree::MerkleBTree& tree = TreeOf(n, 8);
   mtree::PointVO vo = tree.ProvePoint(NumKey(n / 2));
-  mtree::TreeClient client(tree.root_digest(), tree.params());
   for (auto _ : state) {
-    auto r = client.Read(NumKey(n / 2), vo);
+    auto r = mtree::VerifyPointRead(tree.root_digest(), NumKey(n / 2), vo);
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations());
@@ -109,9 +107,8 @@ void BM_VerifyRead_Fanout(benchmark::State& state) {
   const size_t n = 16384;
   const mtree::MerkleBTree& tree = TreeOf(n, fanout);
   mtree::PointVO vo = tree.ProvePoint(NumKey(n / 2));
-  mtree::TreeClient client(tree.root_digest(), tree.params());
   for (auto _ : state) {
-    auto r = client.Read(NumKey(n / 2), vo);
+    auto r = mtree::VerifyPointRead(tree.root_digest(), NumKey(n / 2), vo);
     benchmark::DoNotOptimize(r);
   }
   state.counters["vo_bytes"] = double(vo.Serialize().size());
@@ -123,11 +120,11 @@ void BM_RangeProveAndVerify(benchmark::State& state) {
   const size_t span = state.range(0);
   const size_t n = 100000;
   const mtree::MerkleBTree& tree = TreeOf(n, 8);
-  mtree::TreeClient client(tree.root_digest(), tree.params());
   size_t vo_bytes = 0, samples = 0;
   for (auto _ : state) {
     mtree::RangeVO vo = tree.ProveRange(NumKey(1000), NumKey(1000 + span - 1));
-    auto rows = client.ReadRange(NumKey(1000), NumKey(1000 + span - 1), vo);
+    auto rows = mtree::VerifyRangeRead(tree.root_digest(), NumKey(1000),
+                                       NumKey(1000 + span - 1), vo);
     benchmark::DoNotOptimize(rows);
     vo_bytes += vo.Serialize().size();
     ++samples;

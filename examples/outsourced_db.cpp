@@ -12,7 +12,7 @@
 #include <cstdio>
 
 #include "cvs/repository.h"
-#include "mtree/client.h"
+#include "mtree/vo.h"
 #include "util/bytes.h"
 
 using namespace tcvs;
@@ -22,7 +22,7 @@ int main() {
 
   // The vendor hosts the repository; clients keep only the root digest.
   cvs::Repository vendor;
-  mtree::TreeClient alice = mtree::TreeClient::ForEmptyDatabase();
+  mtree::Digest alice_root = mtree::EmptyRootDigest();
 
   // --- CVS flow: commit, concurrent edit, merge -----------------------------
   auto r1 = vendor.Commit("orders/2026-Q3.csv", "id,qty\n1,10\n2,20\n", 0);
@@ -60,12 +60,12 @@ int main() {
                            "orders/2026-Q4.csv", "users/admins.txt"}) {
     (void)vendor.Commit(path, std::string("data for ") + path + "\n", 0);
   }
-  alice.ResetRoot(vendor.tree().root_digest());
+  alice_root = vendor.tree().root_digest();
 
   Bytes lo = util::ToBytes("orders/");
   Bytes hi = util::ToBytes("orders/\xFF");
   mtree::RangeVO range_vo = vendor.tree().ProveRange(lo, hi);
-  auto rows = alice.ReadRange(lo, hi, range_vo);
+  auto rows = mtree::VerifyRangeRead(alice_root, lo, hi, range_vo);
   std::printf("verified range scan of orders/*  : %zu rows\n", rows->size());
   for (const auto& [k, v] : *rows) {
     std::printf("  %s\n", util::ToString(k).c_str());
@@ -78,7 +78,7 @@ int main() {
   } else {
     forged.root.entries.clear();
   }
-  auto cheated = alice.ReadRange(lo, hi, forged);
+  auto cheated = mtree::VerifyRangeRead(alice_root, lo, hi, forged);
   std::printf("vendor hiding rows rejected      : %s (%s)\n",
               cheated.ok() ? "NO (broken)" : "yes",
               cheated.status().ToString().c_str());

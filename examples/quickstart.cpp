@@ -1,8 +1,8 @@
 // Quickstart: the two layers of trusted-cvs in five minutes.
 //
 //  1. The authenticated store: a Merkle B⁺-tree on the (untrusted) server,
-//     a 32-byte TreeClient on the user side, verification objects in
-//     between (paper §4.1).
+//     a 32-byte trusted root digest on the user side, verification objects
+//     in between (paper §4.1).
 //  2. The multi-user protocol layer: a simulated server + users running
 //     Protocol II, detecting a fork attack at the sync-up (paper §4.3).
 //
@@ -12,7 +12,7 @@
 
 #include "core/scenario.h"
 #include "mtree/btree.h"
-#include "mtree/client.h"
+#include "mtree/vo.h"
 #include "util/bytes.h"
 #include "workload/workload.h"
 
@@ -27,23 +27,25 @@ void SingleUserLayer() {
   mtree::MerkleBTree server_db;
 
   // User side: nothing but the root digest of the (empty) database.
-  mtree::TreeClient client = mtree::TreeClient::ForEmptyDatabase();
+  mtree::Digest root = mtree::EmptyRootDigest();
   std::printf("initial root digest: %s...\n",
-              util::HexEncode(client.root()).substr(0, 16).c_str());
+              util::HexEncode(root).substr(0, 16).c_str());
 
   // Commit a file. The server returns a pre-state verification object; the
   // client verifies it and recomputes the new root locally.
   Bytes key = util::ToBytes("src/main.c");
   Bytes content = util::ToBytes("int main() { return 0; }\n");
   mtree::PointVO vo = server_db.Upsert(key, content);
-  auto new_root = client.ApplyUpsert(key, content, vo);
+  auto new_root =
+      mtree::VerifyAndApplyUpsert(root, server_db.params(), key, content, vo);
   std::printf("commit verified: %s\n", new_root.ok() ? "yes" : "NO");
+  if (new_root.ok()) root = *new_root;
   std::printf("client root == server root: %s\n",
-              (client.root() == server_db.root_digest()) ? "yes" : "NO");
+              (root == server_db.root_digest()) ? "yes" : "NO");
 
   // Checkout with proof of membership.
   mtree::PointVO read_vo = server_db.ProvePoint(key);
-  auto value = client.Read(key, read_vo);
+  auto value = mtree::VerifyPointRead(root, key, read_vo);
   std::printf("checkout verified, content: %s",
               value.ok() && value->has_value()
                   ? util::ToString(**value).c_str()
@@ -53,7 +55,7 @@ void SingleUserLayer() {
   mtree::MerkleBTree evil_db = server_db.Clone();
   evil_db.Upsert(key, util::ToBytes("int main() { backdoor(); }\n"));
   mtree::PointVO forged_vo = evil_db.ProvePoint(key);
-  auto forged = client.Read(key, forged_vo);
+  auto forged = mtree::VerifyPointRead(root, key, forged_vo);
   std::printf("forged read rejected: %s (%s)\n\n",
               forged.ok() ? "NO — BROKEN" : "yes",
               forged.status().ToString().c_str());

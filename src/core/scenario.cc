@@ -1,6 +1,6 @@
 #include "core/scenario.h"
 
-#include "core/fingerprint.h"
+#include "core/protocol_core.h"
 #include "crypto/hmac.h"
 #include "util/logging.h"
 

@@ -18,9 +18,9 @@ uint32_t AuditorOf(uint64_t epoch, uint32_t num_users) {
 }
 }  // namespace
 
-ProtocolUser::ProtocolUser(Options options) : options_(std::move(options)) {
-  sigma_.assign(crypto::kDigestSize, 0);
-  last_ = InitialFingerprint(Tagged());
+ProtocolUser::ProtocolUser(Options options)
+    : options_(std::move(options)),
+      registers_(options_.config.protocol != ProtocolKind::kProtocolIINaive) {
   auto it = options_.config.user_periods.find(options_.id);
   period_ = (it == options_.config.user_periods.end()) ? 1 : it->second;
   if (period_ == 0) period_ = 1;
@@ -192,13 +192,13 @@ bool ProtocolUser::VerifyAndFold(sim::RoundContext* ctx,
     // That credulity is exactly what the experiments price verification
     // against, so the reply is consumed straight from quarantine.
     if (resp.found) *observed = resp.answer;
-    gctr_ = resp.ctr + 1;
-    ++lctr_;
+    registers_.gctr = resp.ctr + 1;
+    ++registers_.lctr;
     return true;
   }
 
   // 1. The verification object must be internally consistent; its root is
-  //    the server's claimed pre-state digest M(D).
+  //    the server's claimed pre-state digest M(D) (the VO's one hashing pass).
   auto vo_or = mtree::PointVO::Deserialize(resp.vo);
   if (!vo_or.ok()) {
     ctx->ReportDetection("malformed verification object: " +
@@ -206,13 +206,14 @@ bool ProtocolUser::VerifyAndFold(sim::RoundContext* ctx,
     return false;
   }
   const util::Tainted<mtree::PointVO> vo = std::move(*vo_or);
-  auto root_or = mtree::VerifiedRootDigest(vo);
-  if (!root_or.ok()) {
+  VoChain chain(options_.config.tree_params, options_.id, resp.ctr,
+                registers_.gctr);
+  if (Status linked = chain.Link(vo); !linked.ok()) {
     ctx->ReportDetection("inconsistent verification object: " +
-                         root_or.status().ToString());
+                         linked.ToString());
     return false;
   }
-  const crypto::Digest pre_root = *root_or;
+  const crypto::Digest& pre_root = chain.pre_root();
 
   // 2. Token baseline: the counter must equal the deterministic slot index
   //    (checked first — a replayed stale state fails here with a precise
@@ -244,35 +245,13 @@ bool ProtocolUser::VerifyAndFold(sim::RoundContext* ctx,
 
   // 4. Counter monotonicity (Protocol II step 4): the server may never show
   //    this user a counter older than one it has already seen.
-  if (UsesXorRegisters() && resp.ctr < gctr_) {
-    util::AuditEvent event(util::AuditEventKind::kCounterRegression);
-    event.user = options_.id;
-    event.ctr = resp.ctr;
-    event.gctr = gctr_;
-    event.epoch = current_epoch_;
-    event.detail = "server presented counter " + std::to_string(resp.ctr) +
-                   " after this user already saw " + std::to_string(gctr_);
-    util::AuditLog::Instance().Emit(std::move(event));
-    // A regressed counter is fork evidence in itself: the server claims a
-    // state on a branch this user already advanced past (a rollback or a
-    // replayed segment). Record both sides of the divergence — the
-    // fingerprint this user last trusted vs the one the claimed
-    // (state, ctr, creator) implies — so the forensic story matches what
-    // sync-up fork detection logs.
-    util::AuditEvent fork(util::AuditEventKind::kForkDetected);
-    fork.user = options_.id;
-    fork.ctr = resp.ctr;
-    fork.gctr = gctr_;
-    fork.epoch = current_epoch_;
-    fork.expected_digest = last_;
-    fork.actual_digest = Fp(pre_root, resp.ctr, resp.creator);
-    fork.detail = "counter regression fork: server resurrected ctr " +
-                  std::to_string(resp.ctr) + " behind this user's " +
-                  std::to_string(gctr_);
-    util::AuditLog::Instance().Emit(std::move(fork));
-    ctx->ReportDetection("stale counter " + std::to_string(resp.ctr) +
-                         " (already saw " + std::to_string(gctr_) + ")");
-    return false;
+  if (UsesXorRegisters()) {
+    Status st = registers_.CheckCounter(options_.id, current_epoch_, resp.ctr,
+                                        pre_root, resp.creator);
+    if (!st.ok()) {
+      ctx->ReportDetection(st.message());
+      return false;
+    }
   }
 
   // 5. Protocol III: epoch sanity against the user's own clock, then the
@@ -289,8 +268,8 @@ bool ProtocolUser::VerifyAndFold(sim::RoundContext* ctx,
       EpochStateBlob blob;
       blob.user = options_.id;
       blob.epoch = current_epoch_;
-      blob.sigma = sigma_;
-      blob.last = last_;
+      blob.sigma = registers_.sigma;
+      blob.last = registers_.last;
       auto sig = options_.signer->Sign(blob.Preimage());
       if (!sig.ok()) {
         // Key exhausted: this user leaves the system (failures are out of
@@ -302,56 +281,34 @@ bool ProtocolUser::VerifyAndFold(sim::RoundContext* ctx,
       }
       blob.signature = std::move(sig).ValueOrDie();
       upload_queue_.push_back(std::move(blob));
-      sigma_.assign(crypto::kDigestSize, 0);
+      registers_.sigma.assign(crypto::kDigestSize, 0);
       current_epoch_ = resp.epoch;
     }
   }
 
   // 6. Verify the answer / replay the update against the claimed pre-state
   //    to obtain the post-state digest M(D′).
-  crypto::Digest post_root = pre_root;
-  switch (op.op.kind) {
-    case sim::OpKind::kCheckout: {
-      auto value_or = mtree::VerifyPointRead(pre_root, options_.config.tree_params,
-                                             op.op.key, vo);
-      if (!value_or.ok()) {
-        ctx->ReportDetection("checkout VO rejected: " +
-                             value_or.status().ToString());
-        return false;
-      }
-      // The loose answer fields must agree with the authenticated result.
-      if (value_or->has_value() != resp.found ||
-          (resp.found && **value_or != resp.answer)) {
-        ctx->ReportDetection("server answer contradicts verification object");
-        return false;
-      }
-      *observed = *value_or;
-      break;
-    }
-    case sim::OpKind::kCommit: {
-      auto post_or = mtree::VerifyAndApplyUpsert(
-          pre_root, options_.config.tree_params, op.op.key, op.op.value, vo);
-      if (!post_or.ok()) {
-        ctx->ReportDetection("commit VO rejected: " + post_or.status().ToString());
-        return false;
-      }
-      post_root = *post_or;
-      break;
-    }
-    case sim::OpKind::kDelete: {
-      auto post_or = mtree::VerifyAndApplyDelete(
-          pre_root, options_.config.tree_params, op.op.key, vo);
-      if (post_or.ok()) {
-        post_root = *post_or;
-      } else if (post_or.status().IsNotFound()) {
-        post_root = pre_root;  // Authenticated no-op.
-      } else {
-        ctx->ReportDetection("delete VO rejected: " + post_or.status().ToString());
-        return false;
-      }
-      break;
-    }
+  static constexpr const char* kRejected[] = {
+      "checkout VO rejected: ", "commit VO rejected: ", "delete VO rejected: "};
+  static constexpr ChainOp::Kind kChainKind[] = {
+      ChainOp::Kind::kRead, ChainOp::Kind::kUpsert, ChainOp::Kind::kDelete};
+  const size_t kind = static_cast<size_t>(op.op.kind);
+  auto value_or =
+      chain.Step(ChainOp{kChainKind[kind], op.op.key, op.op.value});
+  if (!value_or.ok()) {
+    ctx->ReportDetection(kRejected[kind] + value_or.status().ToString());
+    return false;
   }
+  if (op.op.kind == sim::OpKind::kCheckout) {
+    // The loose answer fields must agree with the authenticated result.
+    if (value_or->has_value() != resp.found ||
+        (resp.found && **value_or != resp.answer)) {
+      ctx->ReportDetection("server answer contradicts verification object");
+      return false;
+    }
+    *observed = *value_or;
+  }
+  const crypto::Digest& post_root = chain.root();
 
   // 7. Every check passed: endorse the reply out of quarantine, then fold
   //    into the protocol registers (and the bounded fault-localization
@@ -360,21 +317,20 @@ bool ProtocolUser::VerifyAndFold(sim::RoundContext* ctx,
       TCVS_ENDORSE(std::move(quarantined), mtree::VoVerified{});
   // `resp` dangles past this point — do not touch it.
   if (UsesXorRegisters()) {
-    const crypto::Digest pre_fp = Fp(pre_root, verified.ctr, verified.creator);
-    const crypto::Digest post_fp = Fp(post_root, verified.ctr + 1, options_.id);
-    sigma_ = XorBytes(sigma_, pre_fp);
-    sigma_ = XorBytes(sigma_, post_fp);
-    last_ = post_fp;
+    auto [pre_fp, post_fp] = registers_.Fold(
+        pre_root, post_root, verified.ctr, verified.creator, options_.id);
     if (options_.config.journal_len > 0) {
-      journal_.push_back(TransitionRecord{pre_fp, post_fp, verified.ctr,
-                                          verified.creator, options_.id});
+      journal_.push_back(TransitionRecord{std::move(pre_fp), std::move(post_fp),
+                                          verified.ctr, verified.creator,
+                                          options_.id});
       if (journal_.size() > options_.config.journal_len) {
         journal_.erase(journal_.begin());
       }
     }
+  } else {
+    registers_.gctr = verified.ctr + 1;
+    ++registers_.lctr;
   }
-  gctr_ = verified.ctr + 1;
-  ++lctr_;
 
   // 8. Protocol I / token baseline: return the signed new state to the
   //    server (the blocking extra message of §4.2).
@@ -482,10 +438,10 @@ void ProtocolUser::SendSyncReport(sim::RoundContext* ctx, SyncState* sync) {
   SyncReport report;
   report.sync_id = sync->sync_id;
   report.user = options_.id;
-  report.lctr = lctr_;
-  report.gctr = gctr_;
-  report.sigma = sigma_;
-  report.last = last_;
+  report.lctr = registers_.lctr;
+  report.gctr = registers_.gctr;
+  report.sigma = registers_.sigma;
+  report.last = registers_.last;
   report.journal = journal_;
   ctx->Broadcast(kMsgSyncReport, report.Serialize());
   // The user's own report joins the pool through the same quarantine type as
@@ -536,7 +492,7 @@ void ProtocolUser::FinishSyncSuccess(sim::RoundContext* ctx,
   ops_since_sync_ = 0;
   // Everything verified up to the counters covered by this sync: advance the
   // rollback checkpoint.
-  checkpoint_gctr_ = gctr_;
+  checkpoint_gctr_ = registers_.gctr;
 }
 
 // ---------------------------------------------------------------------------
@@ -571,8 +527,8 @@ void ProtocolUser::StepTreeSyncOne(sim::RoundContext* ctx, SyncState* sync_ptr) 
       AggReport agg;
       agg.sync_id = sync.sync_id;
       agg.user = options_.id;
-      agg.sigma_xor = sigma_;
-      agg.lctr_sum = lctr_;
+      agg.sigma_xor = registers_.sigma;
+      agg.lctr_sum = registers_.lctr;
       for (const auto& [child, quarantined] : sync.child_aggs) {
         // Child aggregates fold into this subtree's aggregate unverified —
         // only the final total-vs-register match check can vouch for them.
@@ -601,12 +557,11 @@ void ProtocolUser::StepTreeSyncOne(sim::RoundContext* ctx, SyncState* sync_ptr) 
   // Phase 2 (total → everyone): check the local match condition; a matching
   // user announces success.
   if (sync.total_received && sync.success_deadline.has_value()) {
-    bool match;
-    if (options_.config.protocol == ProtocolKind::kProtocolI) {
-      match = (gctr_ == sync.lctr_total);
-    } else {
-      match = (XorBytes(InitialFingerprint(Tagged()), last_) == sync.sigma_total);
-    }
+    const bool match =
+        options_.config.protocol == ProtocolKind::kProtocolI
+            ? registers_.gctr == sync.lctr_total
+            : TelescopeCloses({InitialFingerprint(registers_.tagged)},
+                              {registers_.last}, sync.sigma_total);
     if (match) {
       AggSuccess success;
       success.sync_id = sync.sync_id;
@@ -700,53 +655,32 @@ void ProtocolUser::EvaluateBroadcastSync(sim::RoundContext* ctx, uint64_t id) {
       }
     }
   } else {
-    Bytes x(crypto::kDigestSize, 0);
+    std::vector<Bytes> sigmas;
+    std::vector<Bytes> lasts;
     for (const auto& [user, report] : sync.reports) {
       if (report.untrusted().sigma.size() != crypto::kDigestSize) {
         ctx->ReportDetection("malformed sync report");
         dead_ = true;
         return;
       }
-      x = XorBytes(x, report.untrusted().sigma);
+      sigmas.push_back(report.untrusted().sigma);
+      lasts.push_back(report.untrusted().last);
     }
-    const Bytes f0 = InitialFingerprint(Tagged());
-    expected_x = XorBytes(f0, last_);
-    actual_x = x;
-    for (const auto& [user, report] : sync.reports) {
-      if (XorBytes(f0, report.untrusted().last) == x) {
-        success = true;
-        break;
-      }
-    }
+    const Bytes f0 = InitialFingerprint(registers_.tagged);
+    expected_x = XorBytes(f0, registers_.last);
+    actual_x = XorSum(sigmas);
+    success = TelescopeCloses({f0}, lasts, actual_x);
   }
 
+  util::AuditEvent label;
+  label.user = options_.id;
+  label.ctr = registers_.gctr;
+  label.epoch = current_epoch_;
+  label.gctr = registers_.gctr;
+  label.lctr_sum = lctr_total;
+  AuditSyncUp(success, label, std::move(expected_x), std::move(actual_x),
+              std::to_string(id));
   if (!success) {
-    {
-      util::AuditEvent event(util::AuditEventKind::kSyncUpFail);
-      event.user = options_.id;
-      event.ctr = gctr_;
-      event.epoch = current_epoch_;
-      event.gctr = gctr_;
-      event.lctr_sum = lctr_total;
-      event.detail = "sync-up check failed: no user's state explains the "
-                     "pooled reports";
-      util::AuditLog::Instance().Emit(std::move(event));
-    }
-    {
-      // The paper's fork signal: no user's (f0 XOR last) accounts for the
-      // pooled register XOR, so at least two users were shown diverging
-      // histories. Record both sides of the divergence.
-      util::AuditEvent event(util::AuditEventKind::kForkDetected);
-      event.user = options_.id;
-      event.ctr = gctr_;
-      event.epoch = current_epoch_;
-      event.gctr = gctr_;
-      event.lctr_sum = lctr_total;
-      event.expected_digest = expected_x;
-      event.actual_digest = actual_x;
-      event.detail = "fork/partition detected at sync " + std::to_string(id);
-      util::AuditLog::Instance().Emit(std::move(event));
-    }
     std::string reason = "sync-up check failed: server deviated";
     if (options_.config.journal_len > 0) {
       // Fault localization (future-work extension): pool the bounded
@@ -772,15 +706,6 @@ void ProtocolUser::EvaluateBroadcastSync(sim::RoundContext* ctx, uint64_t id) {
     ctx->ReportDetection(reason);
     dead_ = true;
     return;
-  }
-  {
-    util::AuditEvent event(util::AuditEventKind::kSyncUpPass);
-    event.user = options_.id;
-    event.ctr = gctr_;
-    event.epoch = current_epoch_;
-    event.gctr = gctr_;
-    event.lctr_sum = lctr_total;
-    util::AuditLog::Instance().Emit(std::move(event));
   }
   FinishSyncSuccess(ctx, id);
 }
@@ -898,20 +823,13 @@ void ProtocolUser::HandleEpochReply(sim::RoundContext* ctx,
     for (const auto& [user, blob] : prev) prev_lasts.push_back(blob.last);
   }
 
-  Bytes x(crypto::kDigestSize, 0);
-  for (const auto& [user, blob] : states) x = XorBytes(x, blob.sigma);
-
-  bool success = false;
-  for (const auto& p : prev_lasts) {
-    for (const auto& [user, blob] : states) {
-      if (XorBytes(p, blob.last) == x) {
-        success = true;
-        break;
-      }
-    }
-    if (success) break;
+  std::vector<Bytes> sigmas;
+  std::vector<Bytes> lasts;
+  for (const auto& [user, blob] : states) {
+    sigmas.push_back(blob.sigma);
+    lasts.push_back(blob.last);
   }
-  if (!success) {
+  if (!TelescopeCloses(prev_lasts, lasts, XorSum(sigmas))) {
     ctx->ReportDetection("epoch " + std::to_string(e) +
                          " audit failed: state transitions do not form a "
                          "single path");

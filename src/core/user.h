@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "core/config.h"
-#include "core/fingerprint.h"
+#include "core/protocol_core.h"
 #include "core/wire.h"
 #include "crypto/keystore.h"
 #include "crypto/merkle_sig.h"
@@ -57,8 +57,8 @@ class ProtocolUser : public sim::Agent {
   /// \name Statistics for the experiment harness.
   /// @{
   uint64_t ops_completed() const { return ops_completed_; }
-  uint64_t lctr() const { return lctr_; }
-  uint64_t gctr() const { return gctr_; }
+  uint64_t lctr() const { return registers_.lctr; }
+  uint64_t gctr() const { return registers_.gctr; }
   /// Sum over completed ops of (completion round − eligible round).
   uint64_t latency_sum() const { return latency_sum_; }
   uint64_t latency_max() const { return latency_max_; }
@@ -70,8 +70,8 @@ class ProtocolUser : public sim::Agent {
     return script_pos_ >= options_.script.ops.size() &&
            (!inflight_.has_value() || inflight_->is_null);
   }
-  const Bytes& sigma() const { return sigma_; }
-  const Bytes& last() const { return last_; }
+  const Bytes& sigma() const { return registers_.sigma; }
+  const Bytes& last() const { return registers_.last; }
   /// @}
 
  private:
@@ -112,18 +112,9 @@ class ProtocolUser : public sim::Agent {
            p == ProtocolKind::kProtocolIII ||
            p == ProtocolKind::kNoExternalComm;
   }
-  bool Tagged() const {
-    return options_.config.protocol != ProtocolKind::kProtocolIINaive;
-  }
   bool UsesSignedRoots() const {
     ProtocolKind p = options_.config.protocol;
     return p == ProtocolKind::kProtocolI || p == ProtocolKind::kTokenBaseline;
-  }
-
-  crypto::Digest Fp(const crypto::Digest& root, uint64_t ctr,
-                    uint32_t creator) const {
-    return Tagged() ? StateFingerprint(root, ctr, creator)
-                    : StateFingerprintUntagged(root, ctr);
   }
 
   void HandleResponse(sim::RoundContext* ctx, const sim::Message& msg);
@@ -166,11 +157,8 @@ class ProtocolUser : public sim::Agent {
   size_t script_pos_ = 0;
   std::optional<Inflight> inflight_;
 
-  // Protocol registers.
-  uint64_t lctr_ = 0;
-  uint64_t gctr_ = 0;
-  Bytes sigma_;
-  Bytes last_;
+  // Protocol registers (σ/last unused without XOR registers).
+  Registers registers_;
   uint64_t ops_since_sync_ = 0;
 
   // Sync machinery. Under message delays > 1 round, two users can announce

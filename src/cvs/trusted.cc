@@ -9,10 +9,6 @@
 namespace tcvs {
 namespace cvs {
 
-using core::kInitialCreator;
-using core::StateFingerprint;
-using core::XorBytes;
-
 namespace {
 
 // Emits a typed audit event and returns the matching DeviationDetected
@@ -310,24 +306,24 @@ Result<util::Tainted<ListReply>> UntrustedServer::List(
 
 VerifyingClient::VerifyingClient(uint32_t user_id, ServerApi* server)
     : user_id_(user_id), server_(server), params_(server->tree_params()) {
-  sigma_.assign(crypto::kDigestSize, 0);
-  last_ = core::InitialFingerprint(/*tagged=*/true);
   log_root_ = crypto::Sha256::Hash("");
 }
 
 VerifyingClient::VerifyingClient(ClientState state, ServerApi* server)
     : user_id_(state.user_id),
       server_(server),
-      sigma_(std::move(state.sigma)),
-      last_(std::move(state.last)),
-      gctr_(state.gctr),
-      lctr_(state.lctr),
       log_size_(state.log_size),
       log_root_(std::move(state.log_root)),
-      params_(server->tree_params()) {}
+      params_(server->tree_params()) {
+  registers_.sigma = std::move(state.sigma);
+  registers_.last = std::move(state.last);
+  registers_.gctr = state.gctr;
+  registers_.lctr = state.lctr;
+}
 
 ClientState VerifyingClient::state() const {
-  return ClientState{user_id_, sigma_, last_, gctr_, lctr_, log_size_,
+  return ClientState{user_id_,        registers_.sigma, registers_.last,
+                     registers_.gctr, registers_.lctr,  log_size_,
                      log_root_};
 }
 
@@ -339,7 +335,8 @@ Status VerifyingClient::AuditLog() {
   const LogCheckpointReply& reply = quarantined.untrusted();
   if (reply.size < log_size_) {
     return Deviation(
-        util::AuditEventKind::kDeviationDetected, user_id_, reply.size, gctr_,
+        util::AuditEventKind::kDeviationDetected, user_id_, reply.size,
+        registers_.gctr,
         "server transparency log shrank from " + std::to_string(log_size_) +
             " to " + std::to_string(reply.size) + ": history rolled back");
   }
@@ -350,7 +347,8 @@ Status VerifyingClient::AuditLog() {
       log_size_, reply.size, old_root, reply.root, reply.consistency);
   if (!st.ok()) {
     return Deviation(
-        util::AuditEventKind::kDeviationDetected, user_id_, reply.size, gctr_,
+        util::AuditEventKind::kDeviationDetected, user_id_, reply.size,
+        registers_.gctr,
         "server transparency log is not an extension of the checkpoint (" +
             st.ToString() + "): history rewritten");
   }
@@ -386,108 +384,79 @@ Result<ServerReply> VerifyingClient::Execute(
   vo_bytes->Record(vo_total);
   if (reply.files.size() != ops.size()) {
     return Deviation(util::AuditEventKind::kDeviationDetected, user_id_,
-                     reply.ctr, gctr_,
+                     reply.ctr, registers_.gctr,
                      "server answered a different transaction");
-  }
-  if (reply.ctr < gctr_) {
-    return Deviation(
-        util::AuditEventKind::kCounterRegression, user_id_, reply.ctr, gctr_,
-        "server presented counter " + std::to_string(reply.ctr) +
-            " older than one already seen (" + std::to_string(gctr_) + ")");
   }
 
   // Walk the VO chain: each sub-op's proof must be rooted at the state the
   // previous sub-ops produced, and each mutation is replayed locally. The
-  // server's apply/reject decision is recomputed from authenticated
-  // revisions and must match.
+  // server's per-file claims and its apply/reject decision must agree with
+  // the authenticated pre-states; the decision is recomputed exactly as an
+  // honest server would.
+  core::VoChain chain(params_, user_id_, reply.ctr, registers_.gctr);
   pre_records->clear();
-  std::optional<crypto::Digest> chain_root;
-  crypto::Digest pre_root;  // Root before the whole transaction.
   bool expected_applies = true;
   std::map<std::string, uint64_t> scratch_rev;
-
   for (size_t i = 0; i < ops.size(); ++i) {
     const FileOp& op = ops[i];
     const ServerReply::PerFile& f = reply.files[i];
-    Bytes key = util::ToBytes(op.path);
-
     TCVS_ASSIGN_OR_RETURN(util::Tainted<mtree::PointVO> vo,
                           mtree::PointVO::Deserialize(f.vo));
-    TCVS_ASSIGN_OR_RETURN(crypto::Digest root, mtree::VerifiedRootDigest(vo));
-    if (!chain_root.has_value()) {
-      pre_root = root;
-    } else if (root != *chain_root) {
-      util::AuditEvent event(util::AuditEventKind::kVoMismatch);
-      event.user = user_id_;
-      event.ctr = reply.ctr;
-      event.gctr = gctr_;
-      event.expected_digest = *chain_root;
-      event.actual_digest = root;
-      event.detail =
-          "verification-object chain broken at sub-op " + std::to_string(i);
-      util::AuditLog::Instance().Emit(std::move(event));
-      return Status::DeviationDetected(
-          "verification-object chain broken at sub-op " + std::to_string(i));
+    TCVS_RETURN_NOT_OK(chain.Link(vo));
+    if (i == 0) {
+      TCVS_RETURN_NOT_OK(registers_.CheckCounter(
+          user_id_, /*epoch=*/0, reply.ctr, chain.pre_root(), reply.creator));
     }
-
-    TCVS_ASSIGN_OR_RETURN(std::optional<Bytes> value,
-                          mtree::VerifyPointRead(root, params_, key, vo));
+    static constexpr core::ChainOp::Kind kChainKind[] = {
+        core::ChainOp::Kind::kRead, core::ChainOp::Kind::kUpsert,
+        core::ChainOp::Kind::kDelete};  // Indexed by FileOp::Kind.
+    core::ChainOp sub{kChainKind[static_cast<size_t>(op.kind)],
+                      util::ToBytes(op.path), {}, reply.applied};
+    if (op.kind == FileOp::Kind::kCommit) {
+      sub.value = FileRecord{op.base_revision + 1, op.content}.Serialize();
+    }
+    TCVS_ASSIGN_OR_RETURN(std::optional<Bytes> value, chain.Step(sub));
     std::optional<FileRecord> record;
     if (value.has_value()) {
       auto rec = FileRecord::Deserialize(*value);
       if (!rec.ok()) {
         return Deviation(util::AuditEventKind::kVoMismatch, user_id_, reply.ctr,
-                         gctr_, "server stored a malformed file record");
+                         registers_.gctr,
+                         "server stored a malformed file record");
       }
       record = std::move(rec).ValueOrDie();
     }
-    pre_records->push_back(record);
-
-    // Recompute the decision exactly as an honest server would.
     uint64_t current = scratch_rev.count(op.path)
                            ? scratch_rev[op.path]
                            : (record.has_value() ? record->revision : 0);
-    crypto::Digest next_root = root;
     switch (op.kind) {
       case FileOp::Kind::kCheckout:
-        if (value.has_value() != f.found) {
+        if (record.has_value() != f.found) {
           return Deviation(util::AuditEventKind::kVoMismatch, user_id_,
-                           reply.ctr, gctr_,
+                           reply.ctr, registers_.gctr,
                            "server's existence claim contradicts the proof");
         }
         break;
-      case FileOp::Kind::kCommit: {
+      case FileOp::Kind::kCommit:
         if (op.base_revision != current) expected_applies = false;
         scratch_rev[op.path] = op.base_revision + 1;
-        if (reply.applied) {
-          Bytes new_value =
-              FileRecord{op.base_revision + 1, op.content}.Serialize();
-          TCVS_ASSIGN_OR_RETURN(
-              next_root, mtree::VerifyAndApplyUpsert(root, params_, key,
-                                                     new_value, vo));
-        }
         break;
-      }
-      case FileOp::Kind::kRemove: {
+      case FileOp::Kind::kRemove:
         scratch_rev[op.path] = 0;
-        if (reply.applied && record.has_value()) {
-          TCVS_ASSIGN_OR_RETURN(
-              next_root, mtree::VerifyAndApplyDelete(root, params_, key, vo));
-        }
         if (reply.applied && record.has_value() != f.found) {
           return Deviation(util::AuditEventKind::kVoMismatch, user_id_,
-                           reply.ctr, gctr_,
+                           reply.ctr, registers_.gctr,
                            "server's removal claim contradicts the proof");
         }
         break;
-      }
     }
-    chain_root = next_root;
+    pre_records->push_back(std::move(record));
   }
 
   if (expected_applies != reply.applied) {
     return Deviation(
-        util::AuditEventKind::kVoMismatch, user_id_, reply.ctr, gctr_,
+        util::AuditEventKind::kVoMismatch, user_id_, reply.ctr,
+        registers_.gctr,
         "server mis-decided the transaction (authenticated revisions say "
         "applied should be " +
             std::string(expected_applies ? "true" : "false") + ")");
@@ -498,19 +467,9 @@ Result<ServerReply> VerifyingClient::Execute(
   // this point — do not touch it.)
   const ServerReply verified =
       TCVS_ENDORSE(std::move(quarantined), ChainVerified{});
-  FoldTransaction(pre_root, *chain_root, verified.ctr, verified.creator);
+  registers_.Fold(chain.pre_root(), chain.root(), verified.ctr,
+                  verified.creator, user_id_);
   return verified;
-}
-
-void VerifyingClient::FoldTransaction(const crypto::Digest& pre_root,
-                                      const crypto::Digest& post_root,
-                                      uint64_t ctr, uint32_t creator) {
-  sigma_ = XorBytes(sigma_, StateFingerprint(pre_root, ctr, creator));
-  const crypto::Digest post_fp = StateFingerprint(post_root, ctr + 1, user_id_);
-  sigma_ = XorBytes(sigma_, post_fp);
-  last_ = post_fp;
-  gctr_ = ctr + 1;
-  ++lctr_;
 }
 
 Result<FileRecord> VerifyingClient::Checkout(const std::string& path) {
@@ -584,22 +543,27 @@ Result<std::vector<std::pair<std::string, uint64_t>>> VerifyingClient::ListDir(
       util::MetricsRegistry::Instance().GetLatency(
           "cvs.client.range_vo_bytes");
   vo_bytes->Record(reply.range_vo.size());
-  if (reply.ctr < gctr_) {
-    return Deviation(util::AuditEventKind::kCounterRegression, user_id_,
-                     reply.ctr, gctr_, "server presented a stale counter");
-  }
   TCVS_ASSIGN_OR_RETURN(util::Tainted<mtree::RangeVO> vo,
                         mtree::RangeVO::Deserialize(reply.range_vo));
-  TCVS_ASSIGN_OR_RETURN(crypto::Digest root, mtree::VerifiedRootDigest(vo));
-  TCVS_ASSIGN_OR_RETURN(
-      auto rows, mtree::VerifyRangeRead(root, params_, util::ToBytes(prefix),
-                                        PrefixUpperBound(prefix), vo));
+  crypto::Digest root;
+  std::vector<std::pair<Bytes, Bytes>> rows;
+  {
+    TCVS_SPAN("mtree.vo.verify_range");
+    TCVS_ASSIGN_OR_RETURN(mtree::CheckedVO checked,
+                          mtree::CheckedVO::Check(vo));
+    TCVS_RETURN_NOT_OK(registers_.CheckCounter(
+        user_id_, /*epoch=*/0, reply.ctr, checked.root(), reply.creator));
+    TCVS_ASSIGN_OR_RETURN(
+        rows, checked.Range(util::ToBytes(prefix), PrefixUpperBound(prefix)));
+    root = checked.root();
+  }
   std::vector<std::pair<std::string, uint64_t>> out;
   for (const auto& [key, value] : rows) {
     auto rec = FileRecord::Deserialize(value);
     if (!rec.ok()) {
       return Deviation(util::AuditEventKind::kVoMismatch, user_id_, reply.ctr,
-                       gctr_, "server stored a malformed file record");
+                       registers_.gctr,
+                       "server stored a malformed file record");
     }
     out.emplace_back(util::ToString(key), rec->revision);
   }
@@ -607,7 +571,7 @@ Result<std::vector<std::pair<std::string, uint64_t>>> VerifyingClient::ListDir(
   // the endorsed copy; the range proof was the endorsement.
   const ListReply verified =
       TCVS_ENDORSE(std::move(quarantined), mtree::VoVerified{});
-  FoldTransaction(root, root, verified.ctr, verified.creator);
+  registers_.Fold(root, root, verified.ctr, verified.creator, user_id_);
   return out;
 }
 
@@ -631,56 +595,34 @@ Status VerifyingClient::SyncCheck(const std::vector<ClientState>& states) {
   if (states.empty()) {
     return Status::InvalidArgument("sync-up needs at least one client state");
   }
-  Bytes x(crypto::kDigestSize, 0);
+  std::vector<Bytes> sigmas;
+  std::vector<Bytes> lasts;
   uint64_t lctr_sum = 0;
-  uint64_t max_gctr = 0;
+  const ClientState* latest = &states.front();
   for (const auto& s : states) {
     if (s.sigma.size() != crypto::kDigestSize ||
         s.last.size() != crypto::kDigestSize) {
       return Status::InvalidArgument("malformed client state");
     }
-    x = XorBytes(x, s.sigma);
+    sigmas.push_back(s.sigma);
+    lasts.push_back(s.last);
     lctr_sum += s.lctr;
-    max_gctr = std::max(max_gctr, s.gctr);
-  }
-  const Bytes f0 = core::InitialFingerprint(/*tagged=*/true);
-  for (const auto& s : states) {
-    if (XorBytes(f0, s.last) == x) {
-      util::AuditEvent pass(util::AuditEventKind::kSyncUpPass);
-      pass.user = s.user_id;
-      pass.ctr = max_gctr;
-      pass.gctr = max_gctr;
-      pass.lctr_sum = lctr_sum;
-      util::AuditLog::Instance().Emit(std::move(pass));
-      return Status::OK();
-    }
-  }
-  // No participant's final fingerprint explains the folded transitions:
-  // record both the sync failure and the fork evidence. The digests name
-  // the two sides of the divergence — what the transitions fold to versus
-  // what the highest-counter participant last observed.
-  const ClientState* latest = &states.front();
-  for (const auto& s : states) {
     if (s.gctr >= latest->gctr) latest = &s;
   }
-  util::AuditEvent fail(util::AuditEventKind::kSyncUpFail);
-  fail.user = latest->user_id;
-  fail.ctr = max_gctr;
-  fail.gctr = max_gctr;
-  fail.lctr_sum = lctr_sum;
-  fail.detail = "sync-up over " + std::to_string(states.size()) +
-                " clients failed to close the XOR telescope";
-  util::AuditLog::Instance().Emit(std::move(fail));
-  util::AuditEvent fork(util::AuditEventKind::kForkDetected);
-  fork.user = latest->user_id;
-  fork.ctr = max_gctr;
-  fork.gctr = max_gctr;
-  fork.lctr_sum = lctr_sum;
-  fork.expected_digest = XorBytes(f0, latest->last);
-  fork.actual_digest = x;
-  fork.detail = "fork/partition detected at sync (gctr " +
-                std::to_string(max_gctr) + ")";
-  util::AuditLog::Instance().Emit(std::move(fork));
+  // A failure names what the transitions fold to versus what the
+  // highest-counter participant last observed.
+  const Bytes f0 = core::InitialFingerprint(/*tagged=*/true);
+  Bytes x = core::XorSum(sigmas);
+  const bool closed = core::TelescopeCloses({f0}, lasts, x);
+  util::AuditEvent label;
+  label.user = latest->user_id;
+  label.ctr = latest->gctr;
+  label.gctr = latest->gctr;
+  label.lctr_sum = lctr_sum;
+  core::AuditSyncUp(closed, label, core::XorBytes(f0, latest->last),
+                    std::move(x),
+                    "(gctr " + std::to_string(latest->gctr) + ")");
+  if (closed) return Status::OK();
   return Status::DeviationDetected(
       "sync-up failed: the clients' observed transitions do not form a "
       "single serial history — the server forked or replayed state");

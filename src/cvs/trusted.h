@@ -4,7 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "core/fingerprint.h"
+#include "core/protocol_core.h"
 #include "crypto/translog.h"
 #include "cvs/repository.h"
 #include "mtree/btree.h"
@@ -245,10 +245,10 @@ class VerifyingClient {
 
   /// \name Protocol II registers.
   /// @{
-  const Bytes& sigma() const { return sigma_; }
-  const Bytes& last() const { return last_; }
-  uint64_t gctr() const { return gctr_; }
-  uint64_t lctr() const { return lctr_; }
+  const Bytes& sigma() const { return registers_.sigma; }
+  const Bytes& last() const { return registers_.last; }
+  uint64_t gctr() const { return registers_.gctr; }
+  uint64_t lctr() const { return registers_.lctr; }
   /// @}
 
   /// Snapshot for persistence.
@@ -271,16 +271,9 @@ class VerifyingClient {
 
  private:
   /// Runs the full chain walk over a quarantined reply; on success the
-  /// reply is endorsed (ChainVerified) and the registers folded.
+  /// reply is endorsed (ChainVerified) and folded into the registers.
   Result<ServerReply> Execute(const std::vector<FileOp>& ops,
                               std::vector<std::optional<FileRecord>>* pre_records);
-
-  /// Folds one verified transaction into the Protocol II registers. The
-  /// arguments must derive from an endorsed reply — this is the register
-  /// trusted sink.
-  TCVS_TRUSTED_SINK void FoldTransaction(const crypto::Digest& pre_root,
-                                         const crypto::Digest& post_root,
-                                         uint64_t ctr, uint32_t creator);
 
   /// Advances the transparency-log checkpoint after a verified consistency
   /// proof — the audit trusted sink.
@@ -289,10 +282,7 @@ class VerifyingClient {
 
   uint32_t user_id_;
   ServerApi* server_;
-  Bytes sigma_;
-  Bytes last_;
-  uint64_t gctr_ = 0;
-  uint64_t lctr_ = 0;
+  core::Registers registers_;
   uint64_t log_size_ = 0;
   crypto::Digest log_root_;
   mtree::TreeParams params_;

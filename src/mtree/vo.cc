@@ -25,6 +25,17 @@ Status RootMismatch(const char* op, const Digest& trusted_root,
   return Status::VerificationFailure("VO root digest does not match trusted root");
 }
 
+// One pass over `view`, then its digest against the client's trusted root:
+// the body of every trusted-root entry point.
+Result<CheckedVO> CheckAgainst(const char* op, const Digest& trusted_root,
+                               const NodeView& view) {
+  TCVS_ASSIGN_OR_RETURN(CheckedVO checked, CheckedVO::Check(view));
+  if (checked.root() != trusted_root) {
+    return RootMismatch(op, trusted_root, checked.root());
+  }
+  return checked;
+}
+
 // Routing rule shared by server and client: the child index for `key` is the
 // number of separators <= key.
 size_t RouteChild(const std::vector<Bytes>& keys, const Bytes& key) {
@@ -72,11 +83,6 @@ Digest InternalDigest(const std::vector<Bytes>& keys,
 }
 
 Digest EmptyRootDigest() { return LeafDigest({}); }
-
-Digest NodeView::UncheckedDigest() const {
-  if (is_leaf) return LeafDigest(entries);
-  return InternalDigest(keys, child_digests);
-}
 
 Result<Digest> NodeView::VerifiedDigest() const {
   if (is_leaf) {
@@ -235,20 +241,16 @@ Result<util::Tainted<RangeVO>> RangeVO::Deserialize(const Bytes& data) {
 }
 
 // ---------------------------------------------------------------------------
-// Point read verification
+// The one hashing pass, and point reads over it
 // ---------------------------------------------------------------------------
 
-Result<std::optional<Bytes>> VerifyPointRead(const Digest& trusted_root,
-                                             const TreeParams& params,
-                                             const Bytes& key,
-                                             const PointVO& vo) {
-  (void)params;
-  TCVS_SPAN("mtree.vo.verify_point");
-  TCVS_ASSIGN_OR_RETURN(Digest root_digest, vo.root.VerifiedDigest());
-  if (root_digest != trusted_root) {
-    return RootMismatch("verify_point", trusted_root, root_digest);
-  }
-  const NodeView* node = &vo.root;
+Result<CheckedVO> CheckedVO::Check(const NodeView& root) {
+  TCVS_ASSIGN_OR_RETURN(Digest digest, root.VerifiedDigest());
+  return CheckedVO(&root, std::move(digest));
+}
+
+Result<std::optional<Bytes>> CheckedVO::Read(const Bytes& key) const {
+  const NodeView* node = view_;
   int depth = 0;
   while (!node->is_leaf) {
     if (++depth > 64) return Status::VerificationFailure("VO path too deep");
@@ -268,6 +270,15 @@ Result<std::optional<Bytes>> VerifyPointRead(const Digest& trusted_root,
     }
   }
   return std::optional<Bytes>(std::nullopt);
+}
+
+Result<std::optional<Bytes>> VerifyPointRead(const Digest& trusted_root,
+                                             const Bytes& key,
+                                             const PointVO& vo) {
+  TCVS_SPAN("mtree.vo.verify_point");
+  TCVS_ASSIGN_OR_RETURN(CheckedVO checked,
+                        CheckAgainst("verify_point", trusted_root, vo.root));
+  return checked.Read(key);
 }
 
 // ---------------------------------------------------------------------------
@@ -339,18 +350,22 @@ Result<UpsertResult> ReplayUpsert(const NodeView& node, const TreeParams& params
 
 }  // namespace
 
+Result<Digest> CheckedVO::Upsert(const TreeParams& params, const Bytes& key,
+                                 const Bytes& value) const {
+  TCVS_ASSIGN_OR_RETURN(UpsertResult r,
+                        ReplayUpsert(*view_, params, key, value));
+  if (!r.split.has_value()) return r.digest;
+  // Root split: a new root with one separator and two children.
+  return InternalDigest({r.split->first}, {r.digest, r.split->second});
+}
+
 Result<Digest> VerifyAndApplyUpsert(const Digest& trusted_root,
                                     const TreeParams& params, const Bytes& key,
                                     const Bytes& value, const PointVO& vo) {
   TCVS_SPAN("mtree.vo.apply_upsert");
-  TCVS_ASSIGN_OR_RETURN(Digest root_digest, vo.root.VerifiedDigest());
-  if (root_digest != trusted_root) {
-    return RootMismatch("apply_upsert", trusted_root, root_digest);
-  }
-  TCVS_ASSIGN_OR_RETURN(UpsertResult r, ReplayUpsert(vo.root, params, key, value));
-  if (!r.split.has_value()) return r.digest;
-  // Root split: a new root with one separator and two children.
-  return InternalDigest({r.split->first}, {r.digest, r.split->second});
+  TCVS_ASSIGN_OR_RETURN(CheckedVO checked,
+                        CheckAgainst("apply_upsert", trusted_root, vo.root));
+  return checked.Upsert(params, key, value);
 }
 
 // ---------------------------------------------------------------------------
@@ -408,18 +423,28 @@ Result<DeleteResult> ReplayDelete(const NodeView& node, const TreeParams& params
 
 }  // namespace
 
+Result<std::optional<Digest>> CheckedVO::Delete(const TreeParams& params,
+                                                const Bytes& key) const {
+  TCVS_ASSIGN_OR_RETURN(DeleteResult r, ReplayDelete(*view_, params, key));
+  if (!r.found) return std::optional<Digest>(std::nullopt);
+  if (r.now_empty) {
+    return std::optional<Digest>(EmptyRootDigest());  // Root leaf emptied.
+  }
+  return std::optional<Digest>(std::move(r.digest));
+}
+
 Result<Digest> VerifyAndApplyDelete(const Digest& trusted_root,
                                     const TreeParams& params, const Bytes& key,
                                     const PointVO& vo) {
   TCVS_SPAN("mtree.vo.apply_delete");
-  TCVS_ASSIGN_OR_RETURN(Digest root_digest, vo.root.VerifiedDigest());
-  if (root_digest != trusted_root) {
-    return RootMismatch("apply_delete", trusted_root, root_digest);
+  TCVS_ASSIGN_OR_RETURN(CheckedVO checked,
+                        CheckAgainst("apply_delete", trusted_root, vo.root));
+  TCVS_ASSIGN_OR_RETURN(std::optional<Digest> post,
+                        checked.Delete(params, key));
+  if (!post.has_value()) {
+    return Status::NotFound("key not present (authenticated)");
   }
-  TCVS_ASSIGN_OR_RETURN(DeleteResult r, ReplayDelete(vo.root, params, key));
-  if (!r.found) return Status::NotFound("key not present (authenticated)");
-  if (r.now_empty) return EmptyRootDigest();  // Root leaf became empty.
-  return r.digest;
+  return std::move(*post);
 }
 
 // ---------------------------------------------------------------------------
@@ -461,24 +486,26 @@ Status CollectRange(const NodeView& node, const Bytes& lo, const Bytes& hi,
 
 }  // namespace
 
-Result<std::vector<std::pair<Bytes, Bytes>>> VerifyRangeRead(
-    const Digest& trusted_root, const TreeParams& params, const Bytes& lo,
-    const Bytes& hi, const RangeVO& vo) {
-  (void)params;
-  TCVS_SPAN("mtree.vo.verify_range");
+Result<std::vector<std::pair<Bytes, Bytes>>> CheckedVO::Range(
+    const Bytes& lo, const Bytes& hi) const {
   if (hi < lo) return Status::InvalidArgument("range bounds reversed");
-  TCVS_ASSIGN_OR_RETURN(Digest root_digest, vo.root.VerifiedDigest());
-  if (root_digest != trusted_root) {
-    return RootMismatch("verify_range", trusted_root, root_digest);
-  }
   std::vector<std::pair<Bytes, Bytes>> out;
-  TCVS_RETURN_NOT_OK(CollectRange(vo.root, lo, hi, &out, 0));
+  TCVS_RETURN_NOT_OK(CollectRange(*view_, lo, hi, &out, 0));
   for (size_t i = 1; i < out.size(); ++i) {
     if (!(out[i - 1].first < out[i].first)) {
       return Status::VerificationFailure("range result keys out of order");
     }
   }
   return out;
+}
+
+Result<std::vector<std::pair<Bytes, Bytes>>> VerifyRangeRead(
+    const Digest& trusted_root, const Bytes& lo, const Bytes& hi,
+    const RangeVO& vo) {
+  TCVS_SPAN("mtree.vo.verify_range");
+  TCVS_ASSIGN_OR_RETURN(CheckedVO checked,
+                        CheckAgainst("verify_range", trusted_root, vo.root));
+  return checked.Range(lo, hi);
 }
 
 }  // namespace mtree

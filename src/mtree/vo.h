@@ -15,8 +15,8 @@ namespace mtree {
 using crypto::Digest;
 
 /// Taint-verifier token: the value was endorsed by Merkle verification-object
-/// checking — VerifiedDigest / VerifyPointRead / VerifyAndApply* /
-/// VerifyRangeRead succeeded against a trusted root (see util/untrusted.h).
+/// checking — a CheckedVO pass whose digest matched a trusted root, then the
+/// routed read or replay (see util/untrusted.h).
 struct VoVerified {
   TCVS_TAINT_VERIFIER(VoVerified);
 };
@@ -78,10 +78,6 @@ struct NodeView {
   /// digest sizes, child count).
   /// \return the digest, or VerificationFailure / InvalidArgument.
   Result<Digest> VerifiedDigest() const;
-
-  /// Digest recomputation without consistency checks (used by the trusted
-  /// server side where the structure is known-good).
-  Digest UncheckedDigest() const;
 };
 
 /// \brief Computes the digest of a leaf from its entry list.
@@ -100,8 +96,8 @@ struct PointVO {
 
   Bytes Serialize() const;
   /// Parses server-supplied bytes; the result is quarantined until a verify
-  /// call endorses it (hand the Tainted VO straight to VerifyPointRead /
-  /// VerifyAndApply*).
+  /// call endorses it (hand the Tainted VO straight to CheckedVO::Check or a
+  /// trusted-root entry point).
   TCVS_UNTRUSTED_SOURCE static Result<util::Tainted<PointVO>> Deserialize(
       const Bytes& data);
 };
@@ -112,103 +108,87 @@ struct RangeVO {
   NodeView root;
 
   Bytes Serialize() const;
-  /// Parses server-supplied bytes; quarantined until VerifyRangeRead
-  /// endorses it.
+  /// Parses server-supplied bytes; quarantined until CheckedVO::Check or
+  /// VerifyRangeRead endorses it.
   TCVS_UNTRUSTED_SOURCE static Result<util::Tainted<RangeVO>> Deserialize(
       const Bytes& data);
 };
 
-/// \brief Client-side verification of a point read.
-///
-/// Checks that `vo` is rooted at `trusted_root`, that the search path for
-/// `key` is correctly routed, and that the leaf either contains `key` with a
-/// value matching its hash (membership) or provably does not contain it
-/// (non-membership).
-///
-/// \return the value if present, std::nullopt if provably absent.
-///
-/// Every verify entry point recomputes the root digest from the whole VO;
-/// there is no proof cache, so a stale or forged proof always reaches the
-/// trusted-root comparison and its kVoMismatch audit event.
-TCVS_ENDORSER Result<std::optional<Bytes>> VerifyPointRead(
-    const Digest& trusted_root, const TreeParams& params, const Bytes& key,
-    const PointVO& vo);
+/// \brief A VO after its one hashing pass (NodeView::VerifiedDigest): routing
+/// and replay over the checked view hash nothing of it again. Nothing routed
+/// over it is believed until root() matches a trusted root (the entry points
+/// below, or core::VoChain). Borrows the view, which must outlive it.
+class CheckedVO {
+ public:
+  /// The only hashing pass over a quarantined PointVO or RangeVO: the
+  /// digest, not the VO, is what becomes trusted.
+  template <typename VO>
+  TCVS_ENDORSER static Result<CheckedVO> Check(const util::Tainted<VO>& vo) {
+    return Check(vo.untrusted().root);
+  }
+  /// Same over a locally built view (tests, benches, examples).
+  static Result<CheckedVO> Check(const NodeView& root);
+  static Result<CheckedVO> Check(NodeView&&) = delete;
 
-/// \brief Client-side verification + replay of an update (upsert).
-///
-/// Verifies the pre-state path against `trusted_root`, then locally replays
-/// the upsert of (key,value) — including leaf/internal splits — and returns
-/// the new root digest the honest server must now have (paper §4.1: "the
-/// user ... computes the new root digest of the tree").
+  const Digest& root() const { return root_; }
+
+  /// Point read: the value stored under `key`, or std::nullopt when the
+  /// search path provably does not contain it (non-membership).
+  Result<std::optional<Bytes>> Read(const Bytes& key) const;
+
+  /// Replays an upsert of (key, value), splits included. \return the root
+  /// the honest server must now have (§4.1).
+  Result<Digest> Upsert(const TreeParams& params, const Bytes& key,
+                        const Bytes& value) const;
+
+  /// Replays a delete (empty-leaf unlinking and root collapse included).
+  /// \return the new root digest, or std::nullopt when `key` is provably
+  /// absent and the tree is unchanged.
+  Result<std::optional<Digest>> Delete(const TreeParams& params,
+                                       const Bytes& key) const;
+
+  /// Range scan over [lo, hi] inclusive, checking completeness (every
+  /// overlapping child expanded) and soundness (every in-range value
+  /// present). \return the in-range pairs in key order.
+  Result<std::vector<std::pair<Bytes, Bytes>>> Range(const Bytes& lo,
+                                                     const Bytes& hi) const;
+
+ private:
+  CheckedVO(const NodeView* view, Digest root)
+      : view_(view), root_(std::move(root)) {}
+
+  const NodeView* view_;
+  Digest root_;
+};
+
+// ---- Trusted-root entry points --------------------------------------------
+// Each is one CheckedVO pass, a comparison of its digest with `trusted_root`
+// (a mismatch emits a kVoMismatch audit event naming both roots and returns
+// VerificationFailure), then the routed read or replay.
+
+/// \brief Point read against a trusted root. \return the value if present,
+/// std::nullopt if provably absent.
+TCVS_ENDORSER Result<std::optional<Bytes>> VerifyPointRead(
+    const Digest& trusted_root, const Bytes& key, const PointVO& vo);
+
+/// \brief Upsert replay against a trusted root. \return the new root.
 TCVS_ENDORSER Result<Digest> VerifyAndApplyUpsert(const Digest& trusted_root,
                                                   const TreeParams& params,
                                                   const Bytes& key,
                                                   const Bytes& value,
                                                   const PointVO& vo);
 
-/// \brief Client-side verification + replay of a delete.
-///
-/// Verifies the pre-state path, replays the removal (including empty-leaf
-/// unlinking and root collapse), and returns the new root digest.
-/// \return NotFound if the key is provably absent (tree unchanged).
+/// \brief Delete replay against a trusted root. \return the new root;
+/// NotFound if the key is provably absent (tree unchanged).
 TCVS_ENDORSER Result<Digest> VerifyAndApplyDelete(const Digest& trusted_root,
                                                   const TreeParams& params,
                                                   const Bytes& key,
                                                   const PointVO& vo);
 
-/// \brief Client-side verification of a range scan over [lo, hi] inclusive.
-///
-/// Checks the subtree against `trusted_root`, that every child overlapping
-/// the range is expanded (completeness), and that every in-range entry
-/// carries a value matching its hash (soundness).
-///
-/// \return the in-range (key,value) pairs in key order.
+/// \brief Range scan over [lo, hi] inclusive against a trusted root.
 TCVS_ENDORSER Result<std::vector<std::pair<Bytes, Bytes>>> VerifyRangeRead(
-    const Digest& trusted_root, const TreeParams& params, const Bytes& lo,
-    const Bytes& hi, const RangeVO& vo);
-
-// ---- Tainted-VO entry points ----------------------------------------------
-// The verify functions ARE the endorsers for wire VOs: a Tainted VO from
-// PointVO/RangeVO::Deserialize goes straight in, and a successful result is
-// the endorsed product (a value / a new trusted root digest). The plain
-// overloads above remain for the server side and for locally built VOs.
-
-/// Recomputes and consistency-checks the root digest of a quarantined VO —
-/// the first endorsement step of every client chain walk (the digest, not
-/// the VO, is what becomes trusted).
-TCVS_ENDORSER inline Result<Digest> VerifiedRootDigest(
-    const util::Tainted<PointVO>& vo) {
-  return vo.untrusted().root.VerifiedDigest();
-}
-TCVS_ENDORSER inline Result<Digest> VerifiedRootDigest(
-    const util::Tainted<RangeVO>& vo) {
-  return vo.untrusted().root.VerifiedDigest();
-}
-
-TCVS_ENDORSER inline Result<std::optional<Bytes>> VerifyPointRead(
-    const Digest& trusted_root, const TreeParams& params, const Bytes& key,
-    const util::Tainted<PointVO>& vo) {
-  return VerifyPointRead(trusted_root, params, key, vo.untrusted());
-}
-
-TCVS_ENDORSER inline Result<Digest> VerifyAndApplyUpsert(
-    const Digest& trusted_root, const TreeParams& params, const Bytes& key,
-    const Bytes& value, const util::Tainted<PointVO>& vo) {
-  return VerifyAndApplyUpsert(trusted_root, params, key, value, vo.untrusted());
-}
-
-TCVS_ENDORSER inline Result<Digest> VerifyAndApplyDelete(
-    const Digest& trusted_root, const TreeParams& params, const Bytes& key,
-    const util::Tainted<PointVO>& vo) {
-  return VerifyAndApplyDelete(trusted_root, params, key, vo.untrusted());
-}
-
-TCVS_ENDORSER inline Result<std::vector<std::pair<Bytes, Bytes>>>
-VerifyRangeRead(const Digest& trusted_root, const TreeParams& params,
-                const Bytes& lo, const Bytes& hi,
-                const util::Tainted<RangeVO>& vo) {
-  return VerifyRangeRead(trusted_root, params, lo, hi, vo.untrusted());
-}
+    const Digest& trusted_root, const Bytes& lo, const Bytes& hi,
+    const RangeVO& vo);
 
 /// \brief Digest of an empty tree (a single empty leaf); the well-known
 /// initial root digest M(D₀) of the paper.

@@ -153,8 +153,10 @@ Result<uint64_t> DurableServer::StageRecord(const Bytes& record) {
 }
 
 Status DurableServer::WaitDurable(uint64_t seq) {
+  // With fsync off a flush is a page-cache fflush: work, not a durability
+  // wait, so it stays out of the fsync layer.
   util::CostCounters* cost = util::CurrentCostCounters();
-  if (cost == nullptr) return WaitDurableImpl(seq);
+  if (cost == nullptr || !options_.fsync) return WaitDurableImpl(seq);
   const uint64_t start_us = util::MonotonicMicros();
   Status st = WaitDurableImpl(seq);
   cost->wal_fsync_wait_us += util::MonotonicMicros() - start_us;

@@ -118,7 +118,8 @@ class DurableServer : public cvs::ServerApi {
   /// covering Flush returned OK), electing this thread flush leader when
   /// none is active. Returns the covering flush's error otherwise.
   /// WaitDurable is a thin wrapper charging the blocked time to the ambient
-  /// per-request cost accumulator (`wal_fsync_wait_us`).
+  /// per-request cost accumulator (`wal_fsync_wait_us`) when fsync is on;
+  /// with fsync off the flush counts as work.
   Status WaitDurable(uint64_t seq);
   Status WaitDurableImpl(uint64_t seq);
 

@@ -64,7 +64,7 @@ inline int FuzzPointVo(const uint8_t* data, size_t size) {
   if (!parsed.ok()) return 0;
   // Digest computation over an arbitrary accepted structure must not crash;
   // whether it verifies is irrelevant here.
-  (void)mtree::VerifiedRootDigest(*parsed);
+  (void)mtree::CheckedVO::Check(*parsed);
   auto again = mtree::PointVO::Deserialize(parsed->untrusted().Serialize());
   internal::Require(again.ok());
   return 0;
@@ -73,7 +73,7 @@ inline int FuzzPointVo(const uint8_t* data, size_t size) {
 inline int FuzzRangeVo(const uint8_t* data, size_t size) {
   auto parsed = mtree::RangeVO::Deserialize(internal::ToBytes(data, size));
   if (!parsed.ok()) return 0;
-  (void)mtree::VerifiedRootDigest(*parsed);
+  (void)mtree::CheckedVO::Check(*parsed);
   auto again = mtree::RangeVO::Deserialize(parsed->untrusted().Serialize());
   internal::Require(again.ok());
   return 0;

@@ -78,7 +78,7 @@ TEST(FuzzTest, MutatedPointVoNeverMisVerifies) {
       continue;
     }
     auto result =
-        mtree::VerifyPointRead(tree.root_digest(), params, truth_key, *vo);
+        mtree::VerifyPointRead(tree.root_digest(), truth_key, vo->untrusted());
     if (!result.ok()) {
       ++rejected;
       continue;
@@ -110,7 +110,8 @@ TEST(FuzzTest, MutatedUpsertVoNeverYieldsWrongRoot) {
     auto vo = mtree::PointVO::Deserialize(mutated);
     if (!vo.ok()) continue;
     auto new_root =
-        mtree::VerifyAndApplyUpsert(tree.root_digest(), params, key, value, *vo);
+        mtree::VerifyAndApplyUpsert(tree.root_digest(), params, key, value,
+                                    vo->untrusted());
     if (!new_root.ok()) continue;
     ASSERT_EQ(*new_root, next.root_digest())
         << "iter " << iter << ": mutated proof replayed to a wrong root";
@@ -124,8 +125,8 @@ TEST(FuzzTest, RandomBytesNeverCrashVoParser) {
     auto vo = mtree::PointVO::Deserialize(junk);
     if (vo.ok()) {
       // Parsed junk must still fail verification against any real root.
-      auto r = mtree::VerifyPointRead(crypto::Sha256::Hash("root"),
-                                      mtree::TreeParams{}, NumKey(1), *vo);
+      auto r = mtree::VerifyPointRead(crypto::Sha256::Hash("root"), NumKey(1),
+                                      vo->untrusted());
       EXPECT_FALSE(r.ok());
     }
   }

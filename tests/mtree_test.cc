@@ -6,7 +6,6 @@
 #include <tuple>
 
 #include "mtree/btree.h"
-#include "mtree/client.h"
 #include "mtree/vo.h"
 #include "util/audit.h"
 #include "util/random.h"
@@ -170,7 +169,7 @@ TEST(PointReadTest, MembershipVerifies) {
   MerkleBTree tree;
   for (int i = 0; i < 50; ++i) tree.Upsert(NumKey(i), NumKey(1000 + i));
   PointVO vo = tree.ProvePoint(NumKey(7));
-  auto res = VerifyPointRead(tree.root_digest(), tree.params(), NumKey(7), vo);
+  auto res = VerifyPointRead(tree.root_digest(), NumKey(7), vo);
   ASSERT_TRUE(res.ok()) << res.status().ToString();
   ASSERT_TRUE(res->has_value());
   EXPECT_EQ(**res, NumKey(1007));
@@ -180,7 +179,7 @@ TEST(PointReadTest, NonMembershipVerifies) {
   MerkleBTree tree;
   for (int i = 0; i < 50; i += 2) tree.Upsert(NumKey(i), NumKey(i));
   PointVO vo = tree.ProvePoint(NumKey(7));
-  auto res = VerifyPointRead(tree.root_digest(), tree.params(), NumKey(7), vo);
+  auto res = VerifyPointRead(tree.root_digest(), NumKey(7), vo);
   ASSERT_TRUE(res.ok());
   EXPECT_FALSE(res->has_value());
 }
@@ -190,7 +189,7 @@ TEST(PointReadTest, WrongRootRejected) {
   tree.Upsert(K("a"), K("1"));
   PointVO vo = tree.ProvePoint(K("a"));
   Digest wrong = crypto::Sha256::Hash("not the root");
-  auto res = VerifyPointRead(wrong, tree.params(), K("a"), vo);
+  auto res = VerifyPointRead(wrong, K("a"), vo);
   EXPECT_TRUE(res.status().IsVerificationFailure());
 }
 
@@ -204,7 +203,7 @@ TEST(PointReadTest, TamperedValueRejected) {
   for (auto& e : node->entries) {
     if (e.value.has_value()) *e.value = K("tampered");
   }
-  auto res = VerifyPointRead(tree.root_digest(), tree.params(), NumKey(7), vo);
+  auto res = VerifyPointRead(tree.root_digest(), NumKey(7), vo);
   EXPECT_TRUE(res.status().IsVerificationFailure());
 }
 
@@ -217,7 +216,7 @@ TEST(PointReadTest, DroppedEntryRejected) {
   while (!node->is_leaf) node = &node->expanded.begin()->second;
   std::erase_if(node->entries,
                 [](const EntryView& e) { return e.value.has_value(); });
-  auto res = VerifyPointRead(tree.root_digest(), tree.params(), NumKey(7), vo);
+  auto res = VerifyPointRead(tree.root_digest(), NumKey(7), vo);
   EXPECT_TRUE(res.status().IsVerificationFailure());
 }
 
@@ -227,7 +226,7 @@ TEST(PointReadTest, StaleVoRejectedAfterUpdate) {
   PointVO stale = tree.ProvePoint(NumKey(3));
   tree.Upsert(NumKey(3), K("new-value"));
   // The stale VO proves the OLD state; against the new root it must fail.
-  auto res = VerifyPointRead(tree.root_digest(), tree.params(), NumKey(3), stale);
+  auto res = VerifyPointRead(tree.root_digest(), NumKey(3), stale);
   EXPECT_TRUE(res.status().IsVerificationFailure());
 }
 
@@ -239,7 +238,7 @@ TEST(PointReadTest, SerializationRoundTrip) {
   auto back = PointVO::Deserialize(wire);
   ASSERT_TRUE(back.ok());
   auto res =
-      VerifyPointRead(tree.root_digest(), tree.params(), NumKey(42), *back);
+      VerifyPointRead(tree.root_digest(), NumKey(42), back->untrusted());
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(**res, NumKey(42));
 }
@@ -259,9 +258,10 @@ TEST(PointReadTest, TruncatedWireRejected) {
 
 TEST(UpsertReplayTest, SimpleInsert) {
   MerkleBTree tree;
-  TreeClient client = TreeClient::ForEmptyDatabase(tree.params());
   PointVO vo = tree.Upsert(K("a"), K("1"));
-  auto new_root = client.ApplyUpsert(K("a"), K("1"), vo);
+  auto new_root =
+      VerifyAndApplyUpsert(EmptyRootDigest(), tree.params(), K("a"), K("1"),
+                           vo);
   ASSERT_TRUE(new_root.ok()) << new_root.status().ToString();
   EXPECT_EQ(*new_root, tree.root_digest());
 }
@@ -269,37 +269,41 @@ TEST(UpsertReplayTest, SimpleInsert) {
 TEST(UpsertReplayTest, InsertCausingLeafSplit) {
   TreeParams params{.max_leaf_entries = 4, .max_internal_keys = 4};
   MerkleBTree tree(params);
-  TreeClient client = TreeClient::ForEmptyDatabase(params);
+  Digest trusted = EmptyRootDigest();
   for (int i = 0; i < 10; ++i) {
     PointVO vo = tree.Upsert(NumKey(i), NumKey(i));
-    auto root = client.ApplyUpsert(NumKey(i), NumKey(i), vo);
+    auto root = VerifyAndApplyUpsert(trusted, params, NumKey(i), NumKey(i), vo);
     ASSERT_TRUE(root.ok()) << "i=" << i << ": " << root.status().ToString();
     ASSERT_EQ(*root, tree.root_digest()) << "i=" << i;
+    trusted = *root;
   }
 }
 
 TEST(UpsertReplayTest, DeepSplitsManyKeys) {
   TreeParams params{.max_leaf_entries = 4, .max_internal_keys = 4};
   MerkleBTree tree(params);
-  TreeClient client = TreeClient::ForEmptyDatabase(params);
+  Digest trusted = EmptyRootDigest();
   for (int i = 0; i < 500; ++i) {
     Bytes key = NumKey((i * 131) % 500);
     PointVO vo = tree.Upsert(key, NumKey(i));
-    auto root = client.ApplyUpsert(key, NumKey(i), vo);
+    auto root = VerifyAndApplyUpsert(trusted, params, key, NumKey(i), vo);
     ASSERT_TRUE(root.ok()) << "i=" << i;
     ASSERT_EQ(*root, tree.root_digest()) << "i=" << i;
+    trusted = *root;
   }
   EXPECT_GE(tree.height(), 3u);
 }
 
 TEST(UpsertReplayTest, ForgedVoRejected) {
   MerkleBTree tree;
-  TreeClient client = TreeClient::ForEmptyDatabase(tree.params());
   PointVO vo = tree.Upsert(K("a"), K("1"));
-  ASSERT_TRUE(client.ApplyUpsert(K("a"), K("1"), vo).ok());
+  auto trusted =
+      VerifyAndApplyUpsert(EmptyRootDigest(), tree.params(), K("a"), K("1"),
+                           vo);
+  ASSERT_TRUE(trusted.ok());
   // Replaying the SAME (stale) VO for the next op must fail: it describes
   // the pre-state of the previous operation.
-  auto res = client.ApplyUpsert(K("b"), K("2"), vo);
+  auto res = VerifyAndApplyUpsert(*trusted, tree.params(), K("b"), K("2"), vo);
   EXPECT_TRUE(res.status().IsVerificationFailure());
 }
 
@@ -309,56 +313,63 @@ TEST(UpsertReplayTest, ForgedVoRejected) {
 
 TEST(DeleteReplayTest, SimpleDelete) {
   MerkleBTree tree;
-  TreeClient client = TreeClient::ForEmptyDatabase(tree.params());
+  Digest trusted = EmptyRootDigest();
   for (int i = 0; i < 30; ++i) {
     PointVO vo = tree.Upsert(NumKey(i), NumKey(i));
-    ASSERT_TRUE(client.ApplyUpsert(NumKey(i), NumKey(i), vo).ok());
+    auto root = VerifyAndApplyUpsert(trusted, tree.params(), NumKey(i),
+                                     NumKey(i), vo);
+    ASSERT_TRUE(root.ok());
+    trusted = *root;
   }
   bool found = false;
   PointVO vo = tree.Delete(NumKey(5), &found);
   ASSERT_TRUE(found);
-  auto root = client.ApplyDelete(NumKey(5), vo);
+  auto root = VerifyAndApplyDelete(trusted, tree.params(), NumKey(5), vo);
   ASSERT_TRUE(root.ok()) << root.status().ToString();
   EXPECT_EQ(*root, tree.root_digest());
 }
 
 TEST(DeleteReplayTest, DeleteAbsentIsAuthenticatedNotFound) {
   MerkleBTree tree;
-  TreeClient client = TreeClient::ForEmptyDatabase(tree.params());
   PointVO vo0 = tree.Upsert(K("a"), K("1"));
-  ASSERT_TRUE(client.ApplyUpsert(K("a"), K("1"), vo0).ok());
+  auto trusted =
+      VerifyAndApplyUpsert(EmptyRootDigest(), tree.params(), K("a"), K("1"),
+                           vo0);
+  ASSERT_TRUE(trusted.ok());
   bool found = true;
   PointVO vo = tree.Delete(K("zz"), &found);
   EXPECT_FALSE(found);
-  auto res = client.ApplyDelete(K("zz"), vo);
+  auto res = VerifyAndApplyDelete(*trusted, tree.params(), K("zz"), vo);
   EXPECT_TRUE(res.status().IsNotFound());
   // Root unchanged on both sides.
-  EXPECT_EQ(client.root(), tree.root_digest());
+  EXPECT_EQ(*trusted, tree.root_digest());
 }
 
 TEST(DeleteReplayTest, RandomInterleavedOpsKeepClientInSync) {
   TreeParams params{.max_leaf_entries = 4, .max_internal_keys = 4};
   MerkleBTree tree(params);
-  TreeClient client = TreeClient::ForEmptyDatabase(params);
+  Digest trusted = EmptyRootDigest();
   util::Rng rng(4242);
   for (int step = 0; step < 2000; ++step) {
     Bytes key = NumKey(rng.Uniform(150));
     if (rng.Uniform(3) != 0) {
       Bytes value = rng.RandomBytes(8);
       PointVO vo = tree.Upsert(key, value);
-      auto root = client.ApplyUpsert(key, value, vo);
+      auto root = VerifyAndApplyUpsert(trusted, params, key, value, vo);
       ASSERT_TRUE(root.ok()) << "step " << step << ": " << root.status().ToString();
       ASSERT_EQ(*root, tree.root_digest()) << "step " << step;
+      trusted = *root;
     } else {
       bool found = false;
       PointVO vo = tree.Delete(key, &found);
-      auto root = client.ApplyDelete(key, vo);
+      auto root = VerifyAndApplyDelete(trusted, params, key, vo);
       if (found) {
         ASSERT_TRUE(root.ok()) << "step " << step << ": " << root.status().ToString();
         ASSERT_EQ(*root, tree.root_digest()) << "step " << step;
+        trusted = *root;
       } else {
         ASSERT_TRUE(root.status().IsNotFound()) << "step " << step;
-        ASSERT_EQ(client.root(), tree.root_digest()) << "step " << step;
+        ASSERT_EQ(trusted, tree.root_digest()) << "step " << step;
       }
     }
     if (step % 200 == 0) {
@@ -375,7 +386,7 @@ TEST(RangeReadTest, FullCorrectRange) {
   MerkleBTree tree;
   for (int i = 0; i < 200; ++i) tree.Upsert(NumKey(i), NumKey(i + 5000));
   RangeVO vo = tree.ProveRange(NumKey(20), NumKey(39));
-  auto res = VerifyRangeRead(tree.root_digest(), tree.params(), NumKey(20),
+  auto res = VerifyRangeRead(tree.root_digest(), NumKey(20),
                              NumKey(39), vo);
   ASSERT_TRUE(res.ok()) << res.status().ToString();
   ASSERT_EQ(res->size(), 20u);
@@ -389,7 +400,7 @@ TEST(RangeReadTest, EmptyRangeVerifies) {
   for (int i = 0; i < 50; ++i) tree.Upsert(NumKey(2 * i), NumKey(i));
   RangeVO vo = tree.ProveRange(K("zzz0"), K("zzz9"));
   auto res =
-      VerifyRangeRead(tree.root_digest(), tree.params(), K("zzz0"), K("zzz9"), vo);
+      VerifyRangeRead(tree.root_digest(), K("zzz0"), K("zzz9"), vo);
   ASSERT_TRUE(res.ok());
   EXPECT_TRUE(res->empty());
 }
@@ -402,7 +413,7 @@ TEST(RangeReadTest, IncompleteProofRejected) {
   ASSERT_FALSE(vo.root.is_leaf);
   ASSERT_FALSE(vo.root.expanded.empty());
   vo.root.expanded.erase(vo.root.expanded.begin());
-  auto res = VerifyRangeRead(tree.root_digest(), tree.params(), NumKey(0),
+  auto res = VerifyRangeRead(tree.root_digest(), NumKey(0),
                              NumKey(199), vo);
   EXPECT_TRUE(res.status().IsVerificationFailure());
 }
@@ -430,7 +441,7 @@ TEST(RangeReadTest, HiddenInRangeValueRejected) {
     }
   };
   ASSERT_TRUE(Stripper::Strip(&vo.root));
-  auto res = VerifyRangeRead(tree.root_digest(), tree.params(), NumKey(10),
+  auto res = VerifyRangeRead(tree.root_digest(), NumKey(10),
                              NumKey(20), vo);
   EXPECT_TRUE(res.status().IsVerificationFailure());
 }
@@ -439,7 +450,7 @@ TEST(RangeReadTest, ReversedBoundsRejected) {
   MerkleBTree tree;
   tree.Upsert(K("a"), K("1"));
   RangeVO vo = tree.ProveRange(K("a"), K("a"));
-  auto res = VerifyRangeRead(tree.root_digest(), tree.params(), K("b"), K("a"), vo);
+  auto res = VerifyRangeRead(tree.root_digest(), K("b"), K("a"), vo);
   EXPECT_TRUE(res.status().IsInvalidArgument());
 }
 
@@ -449,8 +460,8 @@ TEST(RangeReadTest, SerializationRoundTrip) {
   RangeVO vo = tree.ProveRange(NumKey(30), NumKey(60));
   auto back = RangeVO::Deserialize(vo.Serialize());
   ASSERT_TRUE(back.ok());
-  auto res = VerifyRangeRead(tree.root_digest(), tree.params(), NumKey(30),
-                             NumKey(60), *back);
+  auto res = VerifyRangeRead(tree.root_digest(), NumKey(30), NumKey(60),
+                             back->untrusted());
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(res->size(), 31u);
 }
@@ -466,23 +477,25 @@ TEST_P(FanoutSweepTest, ReplayEquivalenceUnderMixedWorkload) {
   TreeParams params{.max_leaf_entries = GetParam(),
                     .max_internal_keys = GetParam()};
   MerkleBTree tree(params);
-  TreeClient client = TreeClient::ForEmptyDatabase(params);
+  Digest trusted = EmptyRootDigest();
   util::Rng rng(GetParam() * 1000 + 17);
   for (int step = 0; step < 600; ++step) {
     Bytes key = NumKey(rng.Uniform(120));
     if (rng.Uniform(4) != 0) {
       Bytes value = rng.RandomBytes(6);
       PointVO vo = tree.Upsert(key, value);
-      auto root = client.ApplyUpsert(key, value, vo);
+      auto root = VerifyAndApplyUpsert(trusted, params, key, value, vo);
       ASSERT_TRUE(root.ok()) << "fanout=" << GetParam() << " step=" << step;
       ASSERT_EQ(*root, tree.root_digest());
+      trusted = *root;
     } else {
       bool found = false;
       PointVO vo = tree.Delete(key, &found);
-      auto root = client.ApplyDelete(key, vo);
+      auto root = VerifyAndApplyDelete(trusted, params, key, vo);
       if (found) {
         ASSERT_TRUE(root.ok());
         ASSERT_EQ(*root, tree.root_digest());
+        trusted = *root;
       } else {
         ASSERT_TRUE(root.status().IsNotFound());
       }
@@ -600,8 +613,8 @@ TEST(BulkLoadTest, MatchesIncrementalContents) {
   EXPECT_TRUE(tree->CheckInvariants().ok());
   EXPECT_EQ(tree->Items(), items);
   // Proofs from a bulk-loaded tree verify like any other.
-  TreeClient client(tree->root_digest(), tree->params());
-  auto read = client.Read(NumKey(250), tree->ProvePoint(NumKey(250)));
+  auto read = VerifyPointRead(tree->root_digest(), NumKey(250),
+                              tree->ProvePoint(NumKey(250)));
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(**read, NumKey(7250));
 }
@@ -681,8 +694,8 @@ TEST(SnapshotTest, RoundTripPreservesRootDigest) {
   EXPECT_EQ(restored->Items(), tree.Items());
   EXPECT_TRUE(restored->CheckInvariants().ok());
   // A restored server keeps serving verifiable proofs.
-  TreeClient client(tree.root_digest(), tree.params());
-  auto read = client.Read(NumKey(10), restored->ProvePoint(NumKey(10)));
+  auto read = VerifyPointRead(tree.root_digest(), NumKey(10),
+                              restored->ProvePoint(NumKey(10)));
   EXPECT_TRUE(read.ok());
 }
 
@@ -770,7 +783,7 @@ TEST(VoSizeTest, GrowsLogarithmically) {
 // self-consistent proof of a forged state and a replay of a once-valid stale
 // proof both reach the trusted-root comparison: VerificationFailure, plus
 // kVoMismatch evidence naming the trusted and the presented root. The VOs go
-// through the wire and the Tainted overloads, as a client's do.
+// through the wire, as a client's do.
 
 enum class VerifyEntry { kPointRead, kUpsert, kDelete, kRangeRead };
 enum class ProofAttack { kForgedState, kStaleReplay };
@@ -790,20 +803,23 @@ Status VerifyWith(VerifyEntry entry, const Digest& trusted_root,
   if (entry == VerifyEntry::kRangeRead) {
     auto vo = RangeVO::Deserialize(proofs.range);
     if (!vo.ok()) return vo.status();
-    return VerifyRangeRead(trusted_root, params, NumKey(5), NumKey(9), *vo)
+    return VerifyRangeRead(trusted_root, NumKey(5), NumKey(9),
+                           vo->untrusted())
         .status();
   }
   auto vo = PointVO::Deserialize(proofs.point);
   if (!vo.ok()) return vo.status();
   switch (entry) {
     case VerifyEntry::kPointRead:
-      return VerifyPointRead(trusted_root, params, NumKey(7), *vo).status();
+      return VerifyPointRead(trusted_root, NumKey(7), vo->untrusted())
+          .status();
     case VerifyEntry::kUpsert:
       return VerifyAndApplyUpsert(trusted_root, params, NumKey(7), K("next"),
-                                  *vo)
+                                  vo->untrusted())
           .status();
     default:
-      return VerifyAndApplyDelete(trusted_root, params, NumKey(7), *vo)
+      return VerifyAndApplyDelete(trusted_root, params, NumKey(7),
+                                  vo->untrusted())
           .status();
   }
 }

@@ -12,6 +12,7 @@
 
 #include "storage/durable.h"
 #include "storage/wal.h"
+#include "util/cost.h"
 #include "util/fault.h"
 #include "util/metrics.h"
 #include "util/random.h"
@@ -612,6 +613,34 @@ TEST(DurableServerTest, GroupCommitMetricsRegister) {
   auto hist = snap.histograms.find("storage.wal.group_commit.batch_size");
   ASSERT_NE(hist, snap.histograms.end());
   EXPECT_GE(hist->second.count(), 2u);
+}
+
+TEST(DurableServerTest, FsyncWaitIsBookedOnlyWhenFsyncIsOn) {
+  mtree::TreeParams params;
+  const std::vector<cvs::FileOp> commit = {
+      {cvs::FileOp::Kind::kCommit, "a.c", "v1", 0}};
+  {
+    // fsync off: the flush is page-cache work, not a durability wait.
+    TempDir dir;
+    auto server = DurableServer::Open(dir.str(), params);
+    ASSERT_TRUE(server.ok());
+    util::CostScope scope;
+    ASSERT_TRUE((*server)->Transact(1, commit).ok());
+    EXPECT_EQ(scope.counters().wal_appends, 1u);
+    EXPECT_EQ(scope.counters().wal_fsync_wait_us, 0u);
+  }
+  {
+    TempDir dir;
+    DurableOptions options;
+    options.fsync = true;
+    options.emulated_sync_delay_us = 2000;
+    auto server = DurableServer::Open(dir.str(), params, options);
+    ASSERT_TRUE(server.ok());
+    util::CostScope scope;
+    ASSERT_TRUE((*server)->Transact(1, commit).ok());
+    EXPECT_EQ(scope.counters().wal_appends, 1u);
+    EXPECT_GE(scope.counters().wal_fsync_wait_us, 2000u);
+  }
 }
 
 TEST(DurableServerTest, CorruptSnapshotRejected) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/protocol_core.h"
 #include "cvs/trusted.h"
+#include "util/audit.h"
+#include "util/cost.h"
 #include "util/random.h"
 
 namespace tcvs {
@@ -428,6 +431,141 @@ TEST(VerifyingClientTest, ClientStateIsConstantSize) {
   EXPECT_EQ(alice.sigma().size(), crypto::kDigestSize);
   EXPECT_EQ(alice.last().size(), crypto::kDigestSize);
   EXPECT_EQ(alice.lctr(), 200u);
+}
+
+// ---------------------------------------------------------------------------
+// Canned replies: what the client does with one reply, isolated from the
+// server that built it.
+// ---------------------------------------------------------------------------
+
+// Forwards to `inner`, except that a reply placed in `canned` answers the
+// next Transact instead.
+class CannedServer : public ServerApi {
+ public:
+  explicit CannedServer(ServerApi* inner) : inner_(inner) {}
+
+  std::optional<util::Tainted<ServerReply>> canned;
+
+  Result<util::Tainted<ServerReply>> Transact(
+      uint32_t user, const std::vector<FileOp>& ops) override {
+    if (!canned.has_value()) return inner_->Transact(user, ops);
+    util::Tainted<ServerReply> reply = std::move(*canned);
+    canned.reset();
+    return reply;
+  }
+  Result<util::Tainted<ListReply>> List(uint32_t user,
+                                        const std::string& prefix) override {
+    return inner_->List(user, prefix);
+  }
+  Result<util::Tainted<LogCheckpointReply>> LogCheckpoint(
+      uint64_t old_size) override {
+    return inner_->LogCheckpoint(old_size);
+  }
+  mtree::TreeParams tree_params() const override {
+    return inner_->tree_params();
+  }
+
+ private:
+  ServerApi* inner_;
+};
+
+// Hashes of one NodeView::VerifiedDigest pass over the reply's only VO.
+uint64_t DigestPassHashes(const util::Tainted<ServerReply>& reply) {
+  auto vo = mtree::PointVO::Deserialize(reply.untrusted().files.at(0).vo);
+  EXPECT_TRUE(vo.ok());
+  util::CostScope scope;
+  EXPECT_TRUE(vo->untrusted().root.VerifiedDigest().ok());
+  return scope.counters().hashes;
+}
+
+// The client hashes each VO once: one digest pass, then the replay, then
+// the two fingerprints of the fold — no second or third pass over the VO.
+TEST(SinglePassTest, CheckoutHashesTheVoOnce) {
+  UntrustedServer server;
+  VerifyingClient bob(2, &server);
+  ASSERT_TRUE(bob.Commit("a.txt", "hello", 0).ok());
+  auto reply =
+      server.Transact(1, {FileOp{FileOp::Kind::kCheckout, "a.txt", "", 0}});
+  ASSERT_TRUE(reply.ok());
+  const uint64_t digest_pass = DigestPassHashes(*reply);
+  ASSERT_GT(digest_pass, 0u);
+
+  CannedServer canned(&server);
+  canned.canned = std::move(*reply);
+  VerifyingClient alice(1, &canned);
+  util::CostScope scope;
+  auto record = alice.Checkout("a.txt");
+  ASSERT_TRUE(record.ok()) << record.status().ToString();
+  EXPECT_EQ(record->content, "hello");
+  // A read replays nothing; the fold hashes the pre and post fingerprints.
+  EXPECT_EQ(scope.counters().hashes, digest_pass + 2);
+}
+
+TEST(SinglePassTest, CommitHashesTheVoOnce) {
+  UntrustedServer server;
+  VerifyingClient bob(2, &server);
+  ASSERT_TRUE(bob.Commit("a.txt", "hello", 0).ok());
+  auto reply = server.Transact(
+      1, {FileOp{FileOp::Kind::kCommit, "b.txt", "world", 0}});
+  ASSERT_TRUE(reply.ok());
+  ASSERT_TRUE(reply->untrusted().applied);
+  ASSERT_EQ(server.tree().height(), 1u);  // One leaf: no split to replay.
+  const uint64_t digest_pass = DigestPassHashes(*reply);
+  ASSERT_GT(digest_pass, 0u);
+
+  CannedServer canned(&server);
+  canned.canned = std::move(*reply);
+  VerifyingClient alice(1, &canned);
+  util::CostScope scope;
+  auto revision = alice.Commit("b.txt", "world", 0);
+  ASSERT_TRUE(revision.ok()) << revision.status().ToString();
+  // The replay hashes the new value and the one rewritten leaf; the fold
+  // hashes the pre and post fingerprints.
+  EXPECT_EQ(scope.counters().hashes, digest_pass + 2 + 2);
+}
+
+TEST(CounterCheckTest, RegressedCounterIsForkEvidence) {
+  util::AuditLog::Instance().ResetForTesting();
+  UntrustedServer server;
+  CannedServer canned(&server);
+  VerifyingClient alice(1, &canned);
+  ASSERT_TRUE(alice.Commit("a.txt", "v1", 0).ok());
+  // A reply recorded at counter 1, replayed after alice has moved past it.
+  auto stale =
+      server.Transact(9, {FileOp{FileOp::Kind::kCheckout, "a.txt", "", 0}});
+  ASSERT_TRUE(stale.ok());
+  ASSERT_EQ(stale->untrusted().ctr, 1u);
+  ASSERT_TRUE(alice.Checkout("a.txt").ok());
+  ASSERT_EQ(alice.gctr(), 3u);
+  const Bytes last_before = alice.last();
+  auto stale_vo = mtree::PointVO::Deserialize(stale->untrusted().files[0].vo);
+  ASSERT_TRUE(stale_vo.ok());
+  auto stale_root = mtree::CheckedVO::Check(*stale_vo);
+  ASSERT_TRUE(stale_root.ok());
+
+  canned.canned = std::move(*stale);
+  Status st = alice.Checkout("a.txt").status();
+  EXPECT_TRUE(st.IsDeviationDetected()) << st.ToString();
+  EXPECT_EQ(alice.gctr(), 3u);  // Nothing folded.
+
+  const util::AuditEvent* regression = nullptr;
+  const util::AuditEvent* fork = nullptr;
+  const std::vector<util::AuditEvent> events =
+      util::AuditLog::Instance().Snapshot();
+  for (const auto& e : events) {
+    if (e.kind == util::AuditEventKind::kCounterRegression) regression = &e;
+    if (e.kind == util::AuditEventKind::kForkDetected) fork = &e;
+  }
+  ASSERT_NE(regression, nullptr);
+  EXPECT_EQ(regression->user, 1u);
+  EXPECT_EQ(regression->ctr, 1u);
+  EXPECT_EQ(regression->gctr, 3u);
+  ASSERT_NE(fork, nullptr);
+  EXPECT_EQ(fork->user, 1u);
+  EXPECT_EQ(fork->expected_digest, last_before);
+  EXPECT_EQ(fork->actual_digest,
+            core::StateFingerprint(stale_root->root(), 1, 1));
+  util::AuditLog::Instance().ResetForTesting();
 }
 
 }  // namespace
