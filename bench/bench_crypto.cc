@@ -10,7 +10,6 @@
 #include "bench/benchmark_json_main.h"
 
 #include "crypto/hmac.h"
-#include "crypto/lamport.h"
 #include "crypto/merkle_sig.h"
 #include "crypto/sha256.h"
 #include "crypto/signature.h"
@@ -95,32 +94,6 @@ void BM_HmacSha256(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_HmacSha256)->Arg(32)->Arg(4096);
-
-void BM_LamportKeygen(benchmark::State& state) {
-  util::Rng rng(3);
-  for (auto _ : state) {
-    LamportSigner signer(rng.RandomBytes(32));
-    benchmark::DoNotOptimize(signer.public_key());
-  }
-}
-BENCHMARK(BM_LamportKeygen);
-
-void BM_LamportSignVerify(benchmark::State& state) {
-  util::Rng rng(4);
-  Bytes msg = util::ToBytes("root digest to sign");
-  size_t sig_bytes = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    LamportSigner signer(rng.RandomBytes(32));
-    state.ResumeTiming();
-    Bytes sig = *signer.Sign(msg);
-    benchmark::DoNotOptimize(
-        LamportSigner::VerifySignature(signer.public_key(), msg, sig));
-    sig_bytes = sig.size() + signer.public_key().size();
-  }
-  state.counters["sig_plus_pk_bytes"] = double(sig_bytes);
-}
-BENCHMARK(BM_LamportSignVerify);
 
 void BM_WotsKeygen(benchmark::State& state) {
   WotsParams params{.w = static_cast<int>(state.range(0))};

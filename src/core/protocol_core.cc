@@ -83,7 +83,7 @@ Result<std::optional<Bytes>> VoChain::Step(const ChainOp& op) {
   } else if (op.apply && op.kind == ChainOp::Kind::kDelete) {
     TCVS_SPAN("mtree.vo.apply_delete");
     TCVS_ASSIGN_OR_RETURN(std::optional<crypto::Digest> post,
-                          checked.Delete(params_, op.key));
+                          checked.Delete(op.key));
     if (post.has_value()) root_ = std::move(*post);
   }
   return checked.Read(op.key);

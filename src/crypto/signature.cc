@@ -4,7 +4,6 @@
 #include <optional>
 #include <string>
 
-#include "crypto/lamport.h"
 #include "crypto/merkle_sig.h"
 #include "crypto/winternitz.h"
 #include "util/audit.h"
@@ -15,8 +14,6 @@ namespace crypto {
 
 std::string_view SchemeIdToString(SchemeId id) {
   switch (id) {
-    case SchemeId::kLamport:
-      return "Lamport";
     case SchemeId::kWinternitz:
       return "Winternitz";
     case SchemeId::kMerkleSig:
@@ -47,9 +44,6 @@ Status Verify(SchemeId scheme, const Bytes& public_key, const Bytes& message,
     cost->sig_verifies++;
   }
   switch (scheme) {
-    case SchemeId::kLamport:
-      return Audited(scheme, LamportSigner::VerifySignature(public_key, message,
-                                                            signature));
     case SchemeId::kWinternitz:
       return Audited(scheme, WinternitzSigner::VerifySignature(
                                  public_key, message, signature));
@@ -64,10 +58,7 @@ std::vector<Status> VerifyBatch(const std::vector<VerifyRequest>& requests) {
   std::vector<Status> results(requests.size(), Status::OK());
 
   if (util::CostCounters* cost = util::CurrentCostCounters()) {
-    // Lamport items route through Verify(), which counts them itself.
-    for (const VerifyRequest& req : requests) {
-      if (req.scheme != SchemeId::kLamport) cost->sig_verifies++;
-    }
+    cost->sig_verifies += requests.size();
   }
 
   // Hash-based signatures contribute their chains to one shared pool; a
@@ -94,11 +85,6 @@ std::vector<Status> VerifyBatch(const std::vector<VerifyRequest>& requests) {
   for (size_t i = 0; i < requests.size(); ++i) {
     const VerifyRequest& req = requests[i];
     switch (req.scheme) {
-      case SchemeId::kLamport:
-        // Lamport reveals preimages directly — no chains to amortize.
-        results[i] =
-            Verify(req.scheme, *req.public_key, *req.message, *req.signature);
-        break;
       case SchemeId::kWinternitz: {
         auto walk = WinternitzSigner::WalkFromSignature(*req.message,
                                                         *req.signature);

@@ -382,8 +382,7 @@ struct DeleteResult {
   bool now_empty = false;
 };
 
-Result<DeleteResult> ReplayDelete(const NodeView& node, const TreeParams& params,
-                                  const Bytes& key) {
+Result<DeleteResult> ReplayDelete(const NodeView& node, const Bytes& key) {
   if (node.is_leaf) {
     std::vector<EntryView> entries = node.entries;
     auto it = std::lower_bound(
@@ -403,7 +402,7 @@ Result<DeleteResult> ReplayDelete(const NodeView& node, const TreeParams& params
     return Status::VerificationFailure("delete path child not expanded in VO");
   }
   TCVS_ASSIGN_OR_RETURN(DeleteResult child_result,
-                        ReplayDelete(it->second, params, key));
+                        ReplayDelete(it->second, key));
   std::vector<Bytes> keys = node.keys;
   std::vector<Digest> children = node.child_digests;
   if (child_result.now_empty) {
@@ -423,9 +422,8 @@ Result<DeleteResult> ReplayDelete(const NodeView& node, const TreeParams& params
 
 }  // namespace
 
-Result<std::optional<Digest>> CheckedVO::Delete(const TreeParams& params,
-                                                const Bytes& key) const {
-  TCVS_ASSIGN_OR_RETURN(DeleteResult r, ReplayDelete(*view_, params, key));
+Result<std::optional<Digest>> CheckedVO::Delete(const Bytes& key) const {
+  TCVS_ASSIGN_OR_RETURN(DeleteResult r, ReplayDelete(*view_, key));
   if (!r.found) return std::optional<Digest>(std::nullopt);
   if (r.now_empty) {
     return std::optional<Digest>(EmptyRootDigest());  // Root leaf emptied.
@@ -434,13 +432,11 @@ Result<std::optional<Digest>> CheckedVO::Delete(const TreeParams& params,
 }
 
 Result<Digest> VerifyAndApplyDelete(const Digest& trusted_root,
-                                    const TreeParams& params, const Bytes& key,
-                                    const PointVO& vo) {
+                                    const Bytes& key, const PointVO& vo) {
   TCVS_SPAN("mtree.vo.apply_delete");
   TCVS_ASSIGN_OR_RETURN(CheckedVO checked,
                         CheckAgainst("apply_delete", trusted_root, vo.root));
-  TCVS_ASSIGN_OR_RETURN(std::optional<Digest> post,
-                        checked.Delete(params, key));
+  TCVS_ASSIGN_OR_RETURN(std::optional<Digest> post, checked.Delete(key));
   if (!post.has_value()) {
     return Status::NotFound("key not present (authenticated)");
   }

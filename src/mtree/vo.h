@@ -144,8 +144,7 @@ class CheckedVO {
   /// Replays a delete (empty-leaf unlinking and root collapse included).
   /// \return the new root digest, or std::nullopt when `key` is provably
   /// absent and the tree is unchanged.
-  Result<std::optional<Digest>> Delete(const TreeParams& params,
-                                       const Bytes& key) const;
+  Result<std::optional<Digest>> Delete(const Bytes& key) const;
 
   /// Range scan over [lo, hi] inclusive, checking completeness (every
   /// overlapping child expanded) and soundness (every in-range value
@@ -181,7 +180,6 @@ TCVS_ENDORSER Result<Digest> VerifyAndApplyUpsert(const Digest& trusted_root,
 /// \brief Delete replay against a trusted root. \return the new root;
 /// NotFound if the key is provably absent (tree unchanged).
 TCVS_ENDORSER Result<Digest> VerifyAndApplyDelete(const Digest& trusted_root,
-                                                  const TreeParams& params,
                                                   const Bytes& key,
                                                   const PointVO& vo);
 

@@ -324,7 +324,7 @@ TEST(DeleteReplayTest, SimpleDelete) {
   bool found = false;
   PointVO vo = tree.Delete(NumKey(5), &found);
   ASSERT_TRUE(found);
-  auto root = VerifyAndApplyDelete(trusted, tree.params(), NumKey(5), vo);
+  auto root = VerifyAndApplyDelete(trusted, NumKey(5), vo);
   ASSERT_TRUE(root.ok()) << root.status().ToString();
   EXPECT_EQ(*root, tree.root_digest());
 }
@@ -339,7 +339,7 @@ TEST(DeleteReplayTest, DeleteAbsentIsAuthenticatedNotFound) {
   bool found = true;
   PointVO vo = tree.Delete(K("zz"), &found);
   EXPECT_FALSE(found);
-  auto res = VerifyAndApplyDelete(*trusted, tree.params(), K("zz"), vo);
+  auto res = VerifyAndApplyDelete(*trusted, K("zz"), vo);
   EXPECT_TRUE(res.status().IsNotFound());
   // Root unchanged on both sides.
   EXPECT_EQ(*trusted, tree.root_digest());
@@ -362,7 +362,7 @@ TEST(DeleteReplayTest, RandomInterleavedOpsKeepClientInSync) {
     } else {
       bool found = false;
       PointVO vo = tree.Delete(key, &found);
-      auto root = VerifyAndApplyDelete(trusted, params, key, vo);
+      auto root = VerifyAndApplyDelete(trusted, key, vo);
       if (found) {
         ASSERT_TRUE(root.ok()) << "step " << step << ": " << root.status().ToString();
         ASSERT_EQ(*root, tree.root_digest()) << "step " << step;
@@ -491,7 +491,7 @@ TEST_P(FanoutSweepTest, ReplayEquivalenceUnderMixedWorkload) {
     } else {
       bool found = false;
       PointVO vo = tree.Delete(key, &found);
-      auto root = VerifyAndApplyDelete(trusted, params, key, vo);
+      auto root = VerifyAndApplyDelete(trusted, key, vo);
       if (found) {
         ASSERT_TRUE(root.ok());
         ASSERT_EQ(*root, tree.root_digest());
@@ -818,8 +818,7 @@ Status VerifyWith(VerifyEntry entry, const Digest& trusted_root,
                                   vo->untrusted())
           .status();
     default:
-      return VerifyAndApplyDelete(trusted_root, params, NumKey(7),
-                                  vo->untrusted())
+      return VerifyAndApplyDelete(trusted_root, NumKey(7), vo->untrusted())
           .status();
   }
 }
