@@ -28,13 +28,20 @@ ScenarioReport RunCell(ProtocolKind protocol, AttackKind attack) {
   config.sync_k = 6;
   config.epoch_rounds = 50;
   config.user_key_height = 9;
-  config.attack.kind = attack;
-  config.attack.trigger_round = (attack == AttackKind::kOmitEpochState ||
-                                 attack == AttackKind::kStaleEpochState)
-                                    ? 0
-                                    : 60;
-  config.attack.partition_a = {3, 4};
-  config.attack.victim = 2;
+  // Fork: users 3 and 4 split off at round 60. Tamper (a one-shot
+  // equivocation) and drop: the first commit at/after round 60. Protocol III
+  // storage attacks: user 2's epoch blob, from the start.
+  AttackStep step{.kind = attack, .at = 60, .duration = kForever};
+  if (attack == AttackKind::kFork) {
+    step.victims = {3, 4};
+  } else if (attack == AttackKind::kEquivocate ||
+             attack == AttackKind::kDrop) {
+    step.arg = 1;
+  } else {
+    step.at = 0;
+    step.victims = {2};
+  }
+  config.attack.schedule = {step};
   config.forced_syncs = {900};  // Guarantee a final sync for one-shot attacks.
 
   if (protocol == ProtocolKind::kProtocolIII) {
@@ -70,7 +77,7 @@ int main() {
   };
   std::vector<Cell> cells;
   for (AttackKind attack :
-       {AttackKind::kFork, AttackKind::kTamper, AttackKind::kDrop}) {
+       {AttackKind::kFork, AttackKind::kEquivocate, AttackKind::kDrop}) {
     for (ProtocolKind protocol :
          {ProtocolKind::kPlain, ProtocolKind::kNoExternalComm,
           ProtocolKind::kTokenBaseline, ProtocolKind::kProtocolI,

@@ -27,9 +27,8 @@ ScenarioReport RunEpochFork(sim::Round epoch_rounds, sim::Round trigger) {
   config.num_users = 4;
   config.epoch_rounds = epoch_rounds;
   config.user_key_height = 8;
-  config.attack.kind = AttackKind::kFork;
-  config.attack.trigger_round = trigger;
-  config.attack.partition_a = {3, 4};
+  config.attack.schedule = {
+      {.kind = AttackKind::kFork, .at = trigger, .victims = {3, 4}}};
 
   workload::EpochWorkloadOptions opts;
   opts.num_users = 4;

@@ -31,9 +31,8 @@ ScenarioReport RunFork(ProtocolKind protocol, uint32_t k) {
   config.num_users = 4;
   config.sync_k = k;
   config.user_key_height = 9;
-  config.attack.kind = AttackKind::kFork;
-  config.attack.trigger_round = 60;
-  config.attack.partition_a = {3, 4};
+  config.attack.schedule = {
+      {.kind = AttackKind::kFork, .at = 60, .victims = {3, 4}}};
 
   workload::PartitionableOptions opts;
   opts.users_in_a = 2;

@@ -19,17 +19,14 @@ using namespace tcvs;
 
 namespace {
 
-core::ScenarioReport RunEpochScenario(core::AttackKind attack,
-                                      sim::Round trigger) {
+core::ScenarioReport RunEpochScenario(
+    std::vector<core::AttackStep> schedule) {
   core::ScenarioConfig config;
   config.protocol = core::ProtocolKind::kProtocolIII;
   config.num_users = 4;
   config.epoch_rounds = 50;
   config.user_key_height = 8;
-  config.attack.kind = attack;
-  config.attack.trigger_round = trigger;
-  config.attack.partition_a = {3, 4};
-  config.attack.victim = 2;
+  config.attack.schedule = std::move(schedule);
 
   workload::EpochWorkloadOptions opts;
   opts.num_users = 4;
@@ -49,14 +46,16 @@ int main() {
 
   {
     core::ScenarioReport r =
-        RunEpochScenario(core::AttackKind::kHonest, 0);
+        RunEpochScenario({});
     std::printf("honest server          : detected=%s, external messages=%llu"
                 " (none — no broadcast channel)\n",
                 r.detected ? "yes (FALSE ALARM)" : "no",
                 static_cast<unsigned long long>(r.traffic.external_messages));
   }
   {
-    core::ScenarioReport r = RunEpochScenario(core::AttackKind::kFork, 170);
+    // Users 3 and 4 are forked off at round 170.
+    core::ScenarioReport r = RunEpochScenario(
+        {{.kind = core::AttackKind::kFork, .at = 170, .victims = {3, 4}}});
     unsigned long long fault_epoch = 170 / 50;
     unsigned long long detect_epoch = r.detection_round / 50;
     std::printf("fork at epoch %llu        : detected=%s in epoch %llu "
@@ -68,13 +67,17 @@ int main() {
   }
   {
     core::ScenarioReport r =
-        RunEpochScenario(core::AttackKind::kOmitEpochState, 0);
+        RunEpochScenario({{.kind = core::AttackKind::kOmitEpochState,
+                           .duration = core::kForever,
+                           .victims = {2}}});
     std::printf("withheld audit blob    : detected=%s (%s)\n",
                 r.detected ? "yes" : "NO", r.detection_reason.c_str());
   }
   {
     core::ScenarioReport r =
-        RunEpochScenario(core::AttackKind::kStaleEpochState, 0);
+        RunEpochScenario({{.kind = core::AttackKind::kStaleEpochState,
+                           .duration = core::kForever,
+                           .victims = {2}}});
     std::printf("stale audit blob       : detected=%s (%s)\n",
                 r.detected ? "yes" : "NO", r.detection_reason.c_str());
   }

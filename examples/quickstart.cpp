@@ -70,9 +70,8 @@ void MultiUserLayer() {
   config.sync_k = 6;
   // The server forks users 3,4 onto a stale branch at round 60 — the
   // multi-user availability violation of the paper's introduction.
-  config.attack.kind = core::AttackKind::kFork;
-  config.attack.trigger_round = 60;
-  config.attack.partition_a = {3, 4};
+  config.attack.schedule = {
+      {.kind = core::AttackKind::kFork, .at = 60, .victims = {3, 4}}};
 
   workload::CvsWorkloadOptions opts;
   opts.num_users = 4;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <limits>
 #include <set>
 #include <string_view>
 #include <vector>
@@ -51,94 +52,82 @@ enum class SyncMode : uint8_t {
 
 std::string_view SyncModeToString(SyncMode mode);
 
-/// Malicious server strategy.
+/// What one step of the server's attack does. Every attack is a schedule of
+/// AttackSteps (AttackConfig); a classic single attack is a one-step
+/// schedule.
 enum class AttackKind : uint8_t {
+  /// No step (the default of a fresh AttackStep).
   kHonest = 0,
-  /// Fork / partition attack (Figure 1): from `trigger_round` on, users in
-  /// `partition_a` are served one fork and everyone else the other.
+  /// Fork / partition attack (Figure 1): at `at` the server clones its state,
+  /// and from then on the victims are served the clone while everyone else
+  /// stays on the main branch.
   kFork = 1,
-  /// Tamper with a committed value (single-user integrity violation): the
-  /// first commit at/after `trigger_round` is applied with altered content.
-  kTamper = 2,
-  /// Drop a committed update (single-user availability violation): the first
-  /// commit at/after `trigger_round` is acknowledged but not applied; the
-  /// server then forks the victim off the main branch to keep both views
-  /// self-consistent.
+  // 2 is unused: the values are the campaign schedule's wire values.
+  /// Selective drop (availability violation): commits by the victims inside
+  /// the window are acknowledged with a valid pre-state proof but never
+  /// applied; nothing else changes.
   kDrop = 3,
-  /// Figure-3 replay: transitions of `mirror_source_ops` honest operations
-  /// are replayed to the users in `mirror_users`, duplicating (state, ctr)
-  /// pairs across users. Defeats untagged XOR registers; caught by tagging.
+  /// Figure-3 replay: from `at` on, the victims' operations are served on
+  /// recorded pre-states of honest transitions (skipping the first `arg`),
+  /// duplicating (state, ctr) pairs across users. Defeats untagged XOR
+  /// registers; caught by tagging.
   kReplaySegment = 4,
-  /// Protocol III: withhold one user's stored epoch state from the auditor.
+  /// Protocol III: withhold the victims' stored epoch states from the
+  /// auditor inside the window.
   kOmitEpochState = 5,
-  /// Protocol III: substitute a stale (previous-epoch) blob for one user.
+  /// Protocol III: substitute the victims' previous-epoch (stale) blob.
   kStaleEpochState = 6,
-  /// Availability violation by silence: the server stops answering queries
-  /// at the trigger round. Only the b*-bounded-transaction liveness check
-  /// can catch this (no response ever arrives to verify).
+  /// Availability violation by silence: inside the window the server answers
+  /// no query at all (victims are ignored). Only the b*-bounded-transaction
+  /// liveness check can catch this (no response ever arrives to verify).
   kStall = 7,
-  /// Rollback (schedule-only): the server reverts its state by `arg`
+  /// Rollback: at `at` the server reverts its main branch by `arg`
   /// transitions and continues from the resurrected past — a fork whose
   /// second branch is history itself.
   kRollback = 8,
-  /// Equivocation (schedule-only): commits from the victims inside the
-  /// active window are applied with altered content while everyone else
-  /// sees the honest value — per-operation integrity lies.
+  /// Equivocation (integrity violation): commits by the victims inside the
+  /// window are applied with altered content while everyone else sees the
+  /// honest value.
   kEquivocate = 9,
-  /// Delay (schedule-only): responses to the victims inside the active
-  /// window are held back `arg` extra rounds. Not a deviation by itself
-  /// (bounded delay is within the model) — campaign noise that perturbs
-  /// interleavings and sync timing.
+  /// Delay: responses to the victims inside the window are held back `arg`
+  /// extra rounds. Not a deviation by itself (bounded delay is within the
+  /// model) — noise that perturbs interleavings and sync timing.
   kDelay = 10,
 };
 
 std::string_view AttackKindToString(AttackKind kind);
 
-/// \brief One step of a composed adversarial schedule. The campaign
-/// generator (sim/campaign.h) emits randomized sequences of these; the
-/// server executes all of them over one run, which is how fork + rollback +
-/// replay + equivocation + selective-drop + delay compose into the
-/// interleaved adversaries Cachin–Ohrimenko's fork-consistency results say
-/// are the interesting ones. When `AttackConfig::schedule` is non-empty it
-/// supersedes the single `kind` below.
+/// A window that never closes (AttackStep::duration).
+inline constexpr uint64_t kForever = std::numeric_limits<uint64_t>::max();
+
+/// \brief One step of an adversarial schedule. The server executes every step
+/// of AttackConfig::schedule over one run, so fork + rollback + replay +
+/// equivocation + selective-drop + delay compose into the interleaved
+/// adversaries Cachin–Ohrimenko's fork-consistency results say are the
+/// interesting ones. Times are the adversary's clock: the round in the
+/// simulator, the transaction index in a deployment.
 struct AttackStep {
-  /// kFork, kRollback, kReplaySegment, kEquivocate, kDrop, or kDelay.
   AttackKind kind = AttackKind::kHonest;
-  /// Round at/after which the step engages.
-  sim::Round at = 0;
-  /// Active window in rounds for windowed kinds (kEquivocate, kDrop,
-  /// kDelay); 0 means one round. One-shot kinds (kFork, kRollback,
+  /// Time at/after which the step engages.
+  uint64_t at = 0;
+  /// Windowed kinds (kDrop, kEquivocate, kDelay, kStall, kOmitEpochState,
+  /// kStaleEpochState) stay active over [at, at + duration]; 0 means one
+  /// time unit and kForever means no end. One-shot kinds (kFork, kRollback,
   /// kReplaySegment) ignore it.
-  sim::Round duration = 0;
+  uint64_t duration = 0;
   /// Users the step targets. kFork: users routed to the forked branch;
-  /// kReplaySegment: users served recorded transitions; kEquivocate /
-  /// kDrop / kDelay: users whose operations are affected (empty = all).
-  std::set<sim::AgentId> victims;
+  /// kReplaySegment: users served recorded transitions; every windowed kind
+  /// but kStall: users whose operations are affected (empty = all).
+  std::set<sim::AgentId> victims = {};
   /// Kind-specific: kRollback = transitions to revert (≥1); kDelay = extra
   /// rounds to hold responses; kReplaySegment = initial transitions the
-  /// replay cursor skips.
+  /// replay cursor skips; kEquivocate / kDrop = most commits the step alters
+  /// (0 = every commit in the window).
   uint64_t arg = 0;
 };
 
+/// \brief The server's (mis)behaviour: honest when the schedule is empty.
 struct AttackConfig {
-  AttackKind kind = AttackKind::kHonest;
-  /// Round at/after which the attack engages.
-  sim::Round trigger_round = 0;
-  /// kFork: users served the secondary fork.
-  std::set<sim::AgentId> partition_a;
-  /// kReplaySegment: users whose operations are served from the replay
-  /// cursor instead of the live state.
-  std::set<sim::AgentId> mirror_users;
-  /// kReplaySegment: number of initial honest transitions the replay skips —
-  /// the duplicated segment must end at the live head and start at a state
-  /// that is still some user's `last` for the untagged evasion to work.
-  uint32_t replay_skip = 0;
-  /// kOmitEpochState / kStaleEpochState: whose blob to suppress/staleify.
-  sim::AgentId victim = 0;
-  /// Composed adversarial schedule (campaign generator). Non-empty
-  /// supersedes `kind`/`trigger_round`: the server executes every step at
-  /// its own round, so one run can fork, roll back, replay, and equivocate
-  /// in sequence.
   std::vector<AttackStep> schedule;
 };
 

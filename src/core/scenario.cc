@@ -51,8 +51,6 @@ std::string_view AttackKindToString(AttackKind kind) {
       return "Honest";
     case AttackKind::kFork:
       return "Fork";
-    case AttackKind::kTamper:
-      return "Tamper";
     case AttackKind::kDrop:
       return "Drop";
     case AttackKind::kReplaySegment:
@@ -236,10 +234,12 @@ Scenario MakeReplayScenario(bool naive, uint32_t sync_k) {
       naive ? ProtocolKind::kProtocolIINaive : ProtocolKind::kProtocolII;
   config.num_users = 5;
   config.sync_k = sync_k;  // Large enough that only the forced sync fires.
-  config.attack.kind = AttackKind::kReplaySegment;
-  config.attack.trigger_round = 30;
-  config.attack.mirror_users = {4, 5};
-  config.attack.replay_skip = 2;  // Skip O1, O2: duplicate only O3, O4.
+  // From round 30 on, users 4 and 5 are served the recorded pre-states,
+  // skipping O1 and O2: only O3 and O4 are duplicated.
+  config.attack.schedule = {{.kind = AttackKind::kReplaySegment,
+                              .at = 30,
+                              .victims = {4, 5},
+                              .arg = 2}};
   config.forced_syncs = {70};
 
   const Bytes key_x = util::ToBytes("src/x.c");

@@ -177,9 +177,9 @@ core::ScenarioConfig ForkConfig() {
   config.sync_k = 6;
   config.epoch_rounds = 60;
   config.user_key_height = 7;
-  config.attack.kind = core::AttackKind::kFork;
-  config.attack.trigger_round = 60;  // Split before round-80 t1 lands.
-  config.attack.partition_a = {3, 4};
+  // Split before round-80 t1 lands.
+  config.attack.schedule = {
+      {.kind = core::AttackKind::kFork, .at = 60, .victims = {3, 4}}};
   return config;
 }
 

@@ -98,8 +98,11 @@ TEST(JournalSyncTest, TamperLocalizedAtSync) {
   config.num_users = 3;
   config.sync_k = 8;
   config.journal_len = 64;  // ≥ per-user ops: exact localization.
-  config.attack.kind = AttackKind::kTamper;
-  config.attack.trigger_round = 40;
+  // One-shot tamper: the first commit at/after round 40 is altered.
+  config.attack.schedule = {{.kind = AttackKind::kEquivocate,
+                              .at = 40,
+                              .duration = kForever,
+                              .arg = 1}};
   config.forced_syncs = {400};
 
   workload::CvsWorkloadOptions opts;
@@ -122,9 +125,8 @@ TEST(JournalSyncTest, ForkLocalizedAsForkOrReplay) {
   config.num_users = 4;
   config.sync_k = 6;
   config.journal_len = 64;
-  config.attack.kind = AttackKind::kFork;
-  config.attack.trigger_round = 60;
-  config.attack.partition_a = {3, 4};
+  config.attack.schedule = {
+      {.kind = AttackKind::kFork, .at = 60, .victims = {3, 4}}};
 
   workload::PartitionableOptions opts;
   opts.partition_round = 80;
@@ -186,9 +188,8 @@ TEST_P(TreeSyncProtocolTest, HonestNoFalsePositive) {
 
 TEST_P(TreeSyncProtocolTest, ForkDetected) {
   ScenarioConfig config = TreeConfig(GetParam(), 4, 6);
-  config.attack.kind = AttackKind::kFork;
-  config.attack.trigger_round = 60;
-  config.attack.partition_a = {3, 4};
+  config.attack.schedule = {
+      {.kind = AttackKind::kFork, .at = 60, .victims = {3, 4}}};
   workload::PartitionableOptions opts;
   opts.partition_round = 80;
   opts.b_ops_after_dependency = 20;
@@ -260,9 +261,8 @@ TEST_P(MessageDelayTest, ForkStillDetectedUnderDelay) {
   config.protocol = ProtocolKind::kProtocolII;
   config.num_users = 4;
   config.sync_k = 6;
-  config.attack.kind = AttackKind::kFork;
-  config.attack.trigger_round = 60;
-  config.attack.partition_a = {3, 4};
+  config.attack.schedule = {
+      {.kind = AttackKind::kFork, .at = 60, .victims = {3, 4}}};
   workload::PartitionableOptions opts;
   opts.partition_round = 80;
   opts.b_ops_after_dependency = 20;
@@ -302,9 +302,8 @@ TEST(PartialSynchronyTest, SlowUsersStillDetectForks) {
   config.sync_k = 6;
   config.partial_sync_p = 3;
   config.user_periods = {{1, 2}, {3, 3}};
-  config.attack.kind = AttackKind::kFork;
-  config.attack.trigger_round = 60;
-  config.attack.partition_a = {3, 4};
+  config.attack.schedule = {
+      {.kind = AttackKind::kFork, .at = 60, .victims = {3, 4}}};
   workload::PartitionableOptions opts;
   opts.partition_round = 80;
   opts.b_ops_after_dependency = 20;
@@ -323,8 +322,8 @@ TEST(BoundedTransactionTest, StallingServerDetected) {
   config.num_users = 3;
   config.sync_k = 100;
   config.b_star = 20;
-  config.attack.kind = AttackKind::kStall;
-  config.attack.trigger_round = 50;
+  config.attack.schedule = {
+      {.kind = AttackKind::kStall, .at = 50, .duration = kForever}};
   Scenario scenario(config, TreeWorkload(3, 20, 71));
   ScenarioReport r = scenario.Run(3000);
   ASSERT_TRUE(r.detected);
@@ -360,9 +359,8 @@ TEST(RollbackTest, BoundedByOpsSinceLastSync) {
   config.protocol = ProtocolKind::kProtocolII;
   config.num_users = 4;
   config.sync_k = 5;
-  config.attack.kind = AttackKind::kFork;
-  config.attack.trigger_round = 60;
-  config.attack.partition_a = {3, 4};
+  config.attack.schedule = {
+      {.kind = AttackKind::kFork, .at = 60, .victims = {3, 4}}};
   workload::PartitionableOptions opts;
   opts.partition_round = 80;
   opts.b_ops_after_dependency = 30;

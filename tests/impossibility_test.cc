@@ -107,9 +107,8 @@ TEST(Theorem31Test, PartitionedUsersAreBitForBitIndistinguishable) {
   // Run r: the attack. The server forks at round 50; group B (users 3,4) is
   // served the fork, group A stays on the main branch.
   ScenarioConfig attack_config = config;
-  attack_config.attack.kind = AttackKind::kFork;
-  attack_config.attack.trigger_round = 50;
-  attack_config.attack.partition_a = {3, 4};
+  attack_config.attack.schedule = {
+      {.kind = AttackKind::kFork, .at = 50, .victims = {3, 4}}};
   Scenario run_r(attack_config, GroupWorkload(true, true));
   ScenarioReport rr = run_r.Run(300);
 
@@ -135,9 +134,8 @@ TEST(Theorem31Test, ExternalCommunicationBreaksTheIndistinguishability) {
   config.protocol = ProtocolKind::kProtocolII;
   config.num_users = 4;
   config.sync_k = 3;
-  config.attack.kind = AttackKind::kFork;
-  config.attack.trigger_round = 50;
-  config.attack.partition_a = {3, 4};
+  config.attack.schedule = {
+      {.kind = AttackKind::kFork, .at = 50, .victims = {3, 4}}};
   Scenario run(config, GroupWorkload(true, true));
   ScenarioReport r = run.Run(1000);
   EXPECT_TRUE(r.detected);

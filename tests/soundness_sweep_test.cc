@@ -78,27 +78,25 @@ TEST_P(SoundnessSweep, RandomAttacksDetectedAndNeverBeforeEngaging) {
     config.sync_k = 3 + rng.Uniform(8);
     config.forced_syncs = {1200};
 
-    switch (rng.Uniform(3)) {
-      case 0: {
-        config.attack.kind = AttackKind::kFork;
-        config.attack.trigger_round = 20 + rng.Uniform(60);
-        // Random nonempty proper subset of users.
-        uint32_t member = 2 + rng.Uniform(config.num_users - 1);
-        config.attack.partition_a = {member};
-        if (rng.Bernoulli(0.5) && member + 1 <= config.num_users) {
-          config.attack.partition_a.insert(member + 1);
-        }
-        break;
+    AttackStep step;
+    const uint64_t pick = rng.Uniform(3);
+    if (pick == 0) {
+      step.kind = AttackKind::kFork;
+      step.at = 20 + rng.Uniform(60);
+      // Random nonempty proper subset of users.
+      uint32_t member = 2 + rng.Uniform(config.num_users - 1);
+      step.victims = {member};
+      if (rng.Bernoulli(0.5) && member + 1 <= config.num_users) {
+        step.victims.insert(member + 1);
       }
-      case 1:
-        config.attack.kind = AttackKind::kTamper;
-        config.attack.trigger_round = 20 + rng.Uniform(80);
-        break;
-      case 2:
-        config.attack.kind = AttackKind::kDrop;
-        config.attack.trigger_round = 20 + rng.Uniform(80);
-        break;
+    } else {
+      // One-shot tamper (1) or drop (2): the first commit at/after `at`.
+      step.kind = pick == 1 ? AttackKind::kEquivocate : AttackKind::kDrop;
+      step.at = 20 + rng.Uniform(80);
+      step.duration = kForever;
+      step.arg = 1;
     }
+    config.attack.schedule = {step};
 
     workload::CvsWorkloadOptions opts;
     opts.num_users = config.num_users;
@@ -130,7 +128,7 @@ TEST_P(SoundnessSweep, RandomAttacksDetectedAndNeverBeforeEngaging) {
       // which for these attacks means the attack did not engage.
       ASSERT_EQ(r.attack_engaged_round, 0u)
           << "iter " << iter << ": engaged attack escaped detection ("
-          << AttackKindToString(config.attack.kind) << ")";
+          << AttackKindToString(step.kind) << ")";
     }
   }
   // The sweep must actually exercise detection to mean anything.
