@@ -45,9 +45,18 @@ Bytes SignedStatePreimage(const crypto::Digest& root, uint64_t ctr) {
   return crypto::Sha256::Hash(w.buffer());
 }
 
+Transition ReadTransition(const mtree::CheckedVO& checked, uint64_t ctr,
+                          uint32_t creator) {
+  return Transition(checked.root(), checked.root(), ctr, creator);
+}
+
 VoChain::VoChain(const mtree::TreeParams& params, uint32_t user, uint64_t ctr,
-                 uint64_t gctr)
-    : params_(params), user_(user), ctr_(ctr), gctr_(gctr) {}
+                 uint32_t creator, uint64_t gctr)
+    : params_(params),
+      user_(user),
+      ctr_(ctr),
+      creator_(creator),
+      gctr_(gctr) {}
 
 Status VoChain::Link(const util::Tainted<mtree::PointVO>& vo) {
   TCVS_SPAN("mtree.vo.verify_point");
@@ -89,6 +98,11 @@ Result<std::optional<Bytes>> VoChain::Step(const ChainOp& op) {
   return checked.Read(op.key);
 }
 
+Transition VoChain::Finish() && {
+  TCVS_CHECK(linked_ > 0 && !current_.has_value());
+  return Transition(std::move(pre_root_), std::move(root_), ctr_, creator_);
+}
+
 Registers::Registers(bool tagged_in)
     : sigma(crypto::kDigestSize, 0),
       last(InitialFingerprint(tagged_in)),
@@ -128,13 +142,14 @@ Status Registers::CheckCounter(uint32_t user, uint64_t epoch, uint64_t ctr,
 }
 
 std::pair<crypto::Digest, crypto::Digest> Registers::Fold(
-    const crypto::Digest& pre_root, const crypto::Digest& post_root,
-    uint64_t ctr, uint32_t creator, uint32_t user) {
-  crypto::Digest pre_fp = Fingerprint(pre_root, ctr, creator);
-  crypto::Digest post_fp = Fingerprint(post_root, ctr + 1, user);
+    const Transition& transition, uint32_t user) {
+  crypto::Digest pre_fp = Fingerprint(transition.pre_root(), transition.ctr(),
+                                      transition.creator());
+  crypto::Digest post_fp =
+      Fingerprint(transition.post_root(), transition.ctr() + 1, user);
   sigma = XorBytes(XorBytes(sigma, pre_fp), post_fp);
   last = post_fp;
-  gctr = ctr + 1;
+  gctr = transition.ctr() + 1;
   ++lctr;
   return {std::move(pre_fp), std::move(post_fp)};
 }

@@ -100,21 +100,59 @@ struct ChainOp {
   bool apply = true;  // kUpsert/kDelete: replay the mutation (else read only).
 };
 
+/// \brief One verified transition (pre_root, ctr, creator) → (post_root,
+/// ctr + 1): the only thing Registers::Fold accepts. Its roots come from
+/// checked VOs — a VoChain whose every linked VO was stepped, or a read's
+/// CheckedVO — so a root no VO authenticated cannot reach the fold (Lemma
+/// 4.1 rests on exactly that). ctr and creator are the server's claim, which
+/// Registers::CheckCounter checks and the fingerprints bind.
+class Transition {
+ public:
+  const crypto::Digest& pre_root() const { return pre_root_; }
+  const crypto::Digest& post_root() const { return post_root_; }
+  uint64_t ctr() const { return ctr_; }
+  uint32_t creator() const { return creator_; }
+
+ private:
+  friend class VoChain;
+  friend Transition ReadTransition(const mtree::CheckedVO& checked,
+                                   uint64_t ctr, uint32_t creator);
+
+  Transition(crypto::Digest pre_root, crypto::Digest post_root, uint64_t ctr,
+             uint32_t creator)
+      : pre_root_(std::move(pre_root)),
+        post_root_(std::move(post_root)),
+        ctr_(ctr),
+        creator_(creator) {}
+
+  crypto::Digest pre_root_;
+  crypto::Digest post_root_;
+  uint64_t ctr_;
+  uint32_t creator_;
+};
+
+/// \brief The transition of a read-only transaction (a listing) over
+/// `checked`: the state stays at checked.root(), the counter advances.
+Transition ReadTransition(const mtree::CheckedVO& checked, uint64_t ctr,
+                          uint32_t creator);
+
 /// \brief The client's single pass over a transaction's point VOs: sub-op
 /// i's VO shows the state the earlier sub-ops produced. Link hashes each VO
-/// once; Step routes and replays over the checked view. The simulator has
-/// one sub-op and runs its other checks between Link and Step.
+/// once; Step routes and replays over the checked view; Finish hands the
+/// transition to the fold. The simulator has one sub-op and runs its other
+/// checks between Link and Step.
 class VoChain {
  public:
-  /// `user`, `ctr` and `gctr` only label the chain-break audit event.
+  /// `ctr` and `creator` are the server's claimed pre-state label; `user`,
+  /// `ctr` and `gctr` also label the chain-break audit event.
   VoChain(const mtree::TreeParams& params, uint32_t user, uint64_t ctr,
-          uint64_t gctr);
+          uint32_t creator, uint64_t gctr);
 
   /// Checks the next sub-op's VO — its one hashing pass. The first VO fixes
   /// the pre-root; every later one must be rooted at the running root, or a
   /// kVoMismatch naming both roots is emitted and DeviationDetected
   /// returned. `vo` must outlive the following Step.
-  TCVS_ENDORSER Status Link(const util::Tainted<mtree::PointVO>& vo);
+  Status Link(const util::Tainted<mtree::PointVO>& vo);
 
   /// Routes `op` over the VO linked last. When op.apply, replays the
   /// mutation and advances the running root; deleting an absent key is an
@@ -124,10 +162,15 @@ class VoChain {
   const crypto::Digest& pre_root() const { return pre_root_; }  // Before all.
   const crypto::Digest& root() const { return root_; }  // After those stepped.
 
+  /// The transaction's transition (pre_root, ctr, creator) → root. At least
+  /// one VO must be linked and every linked VO stepped. Moves the roots out.
+  Transition Finish() &&;
+
  private:
   mtree::TreeParams params_;
   uint32_t user_;
   uint64_t ctr_;
+  uint32_t creator_;
   uint64_t gctr_;
   size_t linked_ = 0;
   std::optional<mtree::CheckedVO> current_;
@@ -160,12 +203,10 @@ struct Registers {
                       const crypto::Digest& pre_root, uint32_t creator) const;
 
   /// Folds one verified transition (pre_root, ctr, creator) → (post_root,
-  /// ctr + 1, user) into σ and last and advances the counters. The register
-  /// trusted sink: the arguments must derive from an endorsed reply.
+  /// ctr + 1, user) into σ and last and advances the counters.
   /// \return the (pre, post) fingerprints of the transition.
-  TCVS_TRUSTED_SINK std::pair<crypto::Digest, crypto::Digest> Fold(
-      const crypto::Digest& pre_root, const crypto::Digest& post_root,
-      uint64_t ctr, uint32_t creator, uint32_t user);
+  std::pair<crypto::Digest, crypto::Digest> Fold(const Transition& transition,
+                                                 uint32_t user);
 };
 
 /// \brief ⊕ of equally sized registers (the zero digest for none).

@@ -207,7 +207,7 @@ bool ProtocolUser::VerifyAndFold(sim::RoundContext* ctx,
   }
   const util::Tainted<mtree::PointVO> vo = std::move(*vo_or);
   VoChain chain(options_.config.tree_params, options_.id, resp.ctr,
-                registers_.gctr);
+                resp.creator, registers_.gctr);
   if (Status linked = chain.Link(vo); !linked.ok()) {
     ctx->ReportDetection("inconsistent verification object: " +
                          linked.ToString());
@@ -308,17 +308,16 @@ bool ProtocolUser::VerifyAndFold(sim::RoundContext* ctx,
     }
     *observed = *value_or;
   }
-  const crypto::Digest& post_root = chain.root();
+  const Transition transition = std::move(chain).Finish();
 
   // 7. Every check passed: endorse the reply out of quarantine, then fold
-  //    into the protocol registers (and the bounded fault-localization
-  //    journal when enabled). The fold must read only the endorsed copy.
+  //    the chain's transition into the protocol registers (and the bounded
+  //    fault-localization journal when enabled).
   const QueryResponse verified =
       TCVS_ENDORSE(std::move(quarantined), mtree::VoVerified{});
   // `resp` dangles past this point — do not touch it.
   if (UsesXorRegisters()) {
-    auto [pre_fp, post_fp] = registers_.Fold(
-        pre_root, post_root, verified.ctr, verified.creator, options_.id);
+    auto [pre_fp, post_fp] = registers_.Fold(transition, options_.id);
     if (options_.config.journal_len > 0) {
       journal_.push_back(TransitionRecord{std::move(pre_fp), std::move(post_fp),
                                           verified.ctr, verified.creator,
@@ -339,7 +338,8 @@ bool ProtocolUser::VerifyAndFold(sim::RoundContext* ctx,
     up.user = options_.id;
     up.ctr_after = verified.ctr + 1;
     auto sig =
-        options_.signer->Sign(SignedStatePreimage(post_root, verified.ctr + 1));
+        options_.signer->Sign(SignedStatePreimage(transition.post_root(),
+                                                  verified.ctr + 1));
     if (!sig.ok()) {
       TCVS_LOG(Warn) << "user " << options_.id
                      << " signing key exhausted; leaving";

@@ -23,7 +23,7 @@ struct FrameChecked {
 
 /// Structural endorsement for the server/simulator side (see FrameChecked).
 template <typename T>
-TCVS_ENDORSER T AcceptClientFrame(util::Tainted<T> frame) {
+T AcceptClientFrame(util::Tainted<T> frame) {
   return TCVS_ENDORSE(std::move(frame), FrameChecked{});
 }
 
@@ -75,7 +75,6 @@ struct EpochStateBlob {
   Bytes Preimage() const;
 
   Bytes Serialize() const;
-  TCVS_UNTRUSTED_SOURCE
   static Result<util::Tainted<EpochStateBlob>> Deserialize(const Bytes& data);
 
   bool operator==(const EpochStateBlob&) const = default;
@@ -99,7 +98,6 @@ struct QueryRequest {
   uint64_t trace_id = 0;
 
   Bytes Serialize() const;
-  TCVS_UNTRUSTED_SOURCE
   static Result<util::Tainted<QueryRequest>> Deserialize(const Bytes& data);
 };
 
@@ -125,7 +123,6 @@ struct QueryResponse {
   uint64_t trace_id = 0;
 
   Bytes Serialize() const;
-  TCVS_UNTRUSTED_SOURCE
   static Result<util::Tainted<QueryResponse>> Deserialize(const Bytes& data);
 };
 
@@ -136,7 +133,6 @@ struct RootSigUpload {
   Bytes sig;
 
   Bytes Serialize() const;
-  TCVS_UNTRUSTED_SOURCE
   static Result<util::Tainted<RootSigUpload>> Deserialize(const Bytes& data);
 };
 
@@ -146,7 +142,6 @@ struct SyncAnnounce {
   uint64_t sync_id = 0;
 
   Bytes Serialize() const;
-  TCVS_UNTRUSTED_SOURCE
   static Result<util::Tainted<SyncAnnounce>> Deserialize(const Bytes& data);
 };
 
@@ -164,7 +159,6 @@ struct SyncReport {
   std::vector<TransitionRecord> journal;
 
   Bytes Serialize() const;
-  TCVS_UNTRUSTED_SOURCE
   static Result<util::Tainted<SyncReport>> Deserialize(const Bytes& data);
 };
 
@@ -177,7 +171,6 @@ struct AggReport {
   uint64_t lctr_sum = 0;
 
   Bytes Serialize() const;
-  TCVS_UNTRUSTED_SOURCE
   static Result<util::Tainted<AggReport>> Deserialize(const Bytes& data);
 };
 
@@ -188,7 +181,6 @@ struct AggTotal {
   uint64_t lctr_total = 0;
 
   Bytes Serialize() const;
-  TCVS_UNTRUSTED_SOURCE
   static Result<util::Tainted<AggTotal>> Deserialize(const Bytes& data);
 };
 
@@ -199,7 +191,6 @@ struct AggSuccess {
   uint32_t user = 0;
 
   Bytes Serialize() const;
-  TCVS_UNTRUSTED_SOURCE
   static Result<util::Tainted<AggSuccess>> Deserialize(const Bytes& data);
 };
 
@@ -209,7 +200,6 @@ struct EpochStatesRequest {
   uint64_t epoch = 0;
 
   Bytes Serialize() const;
-  TCVS_UNTRUSTED_SOURCE
   static Result<util::Tainted<EpochStatesRequest>> Deserialize(const Bytes& data);
 };
 
@@ -220,7 +210,6 @@ struct EpochStatesReply {
   std::vector<EpochStateBlob> prev_states;  // Epoch e−1 blobs (for S_init).
 
   Bytes Serialize() const;
-  TCVS_UNTRUSTED_SOURCE
   static Result<util::Tainted<EpochStatesReply>> Deserialize(const Bytes& data);
 };
 

@@ -73,8 +73,8 @@ class KeyStore {
 
   /// Verifies `signature` over `message` as coming from `principal`.
   /// Success justifies endorsing the signed value with SignatureVerified.
-  TCVS_ENDORSER Status VerifyFrom(PrincipalId principal, const Bytes& message,
-                                  const Bytes& signature) const;
+  Status VerifyFrom(PrincipalId principal, const Bytes& message,
+                    const Bytes& signature) const;
 
   /// One claim of a VerifyFromBatch call: `signature` over `message`,
   /// attributed to `principal`. Pointers are borrowed for the call only.
@@ -89,7 +89,7 @@ class KeyStore {
   /// result vector lines up with `claims`; each OK entry justifies
   /// endorsing THAT claim's value with SignatureVerified — exactly the
   /// per-value guarantee VerifyFrom gives, batch or no batch.
-  TCVS_ENDORSER std::vector<Status> VerifyFromBatch(
+  std::vector<Status> VerifyFromBatch(
       const std::vector<SignatureClaim>& claims) const;
 
   size_t size() const { return certs_.size(); }

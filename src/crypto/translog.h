@@ -63,7 +63,7 @@ class TransparencyLog {
   /// Checks that a log of size `n` with root `new_root` extends the log of
   /// size `m` with root `old_root`. Success justifies endorsing the
   /// checkpoint with ConsistencyVerified.
-  TCVS_ENDORSER static Status VerifyConsistency(
+  static Status VerifyConsistency(
       uint64_t m, uint64_t n, const Digest& old_root, const Digest& new_root,
       const std::vector<Digest>& proof);
   /// @}

@@ -6,7 +6,6 @@
 
 #include "cvs/repository.h"
 #include "util/result.h"
-#include "util/taint_annotations.h"
 
 namespace tcvs {
 namespace cvs {
@@ -23,11 +22,11 @@ namespace cvs {
 class LocalCache {
  public:
   /// Records the verified state of `path` (checkout hit or applied commit).
-  /// Trusted sink: `record` must come from an endorsed server reply.
-  TCVS_TRUSTED_SINK void Put(const std::string& path, FileRecord record);
+  /// `record` must come from an endorsed server reply.
+  void Put(const std::string& path, FileRecord record);
 
   /// Records a verified removal (or authenticated absence) of `path`.
-  TCVS_TRUSTED_SINK void Erase(const std::string& path);
+  void Erase(const std::string& path);
 
   /// The last verified record, or nullptr if never seen.
   const FileRecord* Find(const std::string& path) const;

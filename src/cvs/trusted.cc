@@ -370,26 +370,24 @@ Status VerifyingClient::AuditLog() {
         "server transparency log is not an extension of the checkpoint (" +
             st.ToString() + "): history rewritten");
   }
-  const LogCheckpointReply verified =
+  LogCheckpointReply verified =
       TCVS_ENDORSE(std::move(quarantined), crypto::ConsistencyVerified{});
-  AdvanceLogCheckpoint(verified.size, verified.root);
+  log_size_ = verified.size;
+  log_root_ = std::move(verified.root);
   return Status::OK();
-}
-
-void VerifyingClient::AdvanceLogCheckpoint(uint64_t size,
-                                           const crypto::Digest& root) {
-  log_size_ = size;
-  log_root_ = root;
 }
 
 Result<ServerReply> VerifyingClient::Execute(
     const std::vector<FileOp>& ops,
     std::vector<std::optional<FileRecord>>* pre_records) {
+  // The fold needs a linked VO; an empty transaction has none.
+  if (ops.empty()) return Status::InvalidArgument("empty transaction");
   TCVS_ASSIGN_OR_RETURN(util::Tainted<ServerReply> quarantined,
                         server_->Transact(user_id_, ops));
   TCVS_SPAN("cvs.client.verify_transact");
   // Borrow for the chain walk; every use below is a check. The borrow dies
-  // at the TCVS_ENDORSE, and the register fold reads the endorsed copy.
+  // at the TCVS_ENDORSE; the register fold reads only the chain's
+  // transition.
   const ServerReply& reply = quarantined.untrusted();
   static util::Counter* const transactions =
       util::MetricsRegistry::Instance().GetCounter(
@@ -411,7 +409,8 @@ Result<ServerReply> VerifyingClient::Execute(
   // server's per-file claims and its apply/reject decision must agree with
   // the authenticated pre-states; the decision is recomputed exactly as an
   // honest server would.
-  core::VoChain chain(params_, user_id_, reply.ctr, registers_.gctr);
+  core::VoChain chain(params_, user_id_, reply.ctr, reply.creator,
+                      registers_.gctr);
   pre_records->clear();
   bool expected_applies = true;
   std::map<std::string, uint64_t> scratch_rev;
@@ -480,13 +479,11 @@ Result<ServerReply> VerifyingClient::Execute(
             std::string(expected_applies ? "true" : "false") + ")");
   }
 
-  // Every check passed: endorse, then fold the transaction into the
-  // Protocol II registers from the endorsed copy only. (`reply` dangles past
-  // this point — do not touch it.)
-  const ServerReply verified =
-      TCVS_ENDORSE(std::move(quarantined), ChainVerified{});
-  registers_.Fold(chain.pre_root(), chain.root(), verified.ctr,
-                  verified.creator, user_id_);
+  // Every check passed: endorse, then fold the chain's transition into the
+  // Protocol II registers. (`reply` dangles past this point — do not touch
+  // it.)
+  ServerReply verified = TCVS_ENDORSE(std::move(quarantined), ChainVerified{});
+  registers_.Fold(std::move(chain).Finish(), user_id_);
   return verified;
 }
 
@@ -563,7 +560,7 @@ Result<std::vector<std::pair<std::string, uint64_t>>> VerifyingClient::ListDir(
   vo_bytes->Record(reply.range_vo.size());
   TCVS_ASSIGN_OR_RETURN(util::Tainted<mtree::RangeVO> vo,
                         mtree::RangeVO::Deserialize(reply.range_vo));
-  crypto::Digest root;
+  std::optional<core::Transition> read;
   std::vector<std::pair<Bytes, Bytes>> rows;
   {
     TCVS_SPAN("mtree.vo.verify_range");
@@ -573,7 +570,7 @@ Result<std::vector<std::pair<std::string, uint64_t>>> VerifyingClient::ListDir(
         user_id_, /*epoch=*/0, reply.ctr, checked.root(), reply.creator));
     TCVS_ASSIGN_OR_RETURN(
         rows, checked.Range(util::ToBytes(prefix), PrefixUpperBound(prefix)));
-    root = checked.root();
+    read = core::ReadTransition(checked, reply.ctr, reply.creator);
   }
   std::vector<std::pair<std::string, uint64_t>> out;
   for (const auto& [key, value] : rows) {
@@ -585,11 +582,9 @@ Result<std::vector<std::pair<std::string, uint64_t>>> VerifyingClient::ListDir(
     }
     out.emplace_back(util::ToString(key), rec->revision);
   }
-  // Fold the read transaction (same root before and after, counter +1) from
-  // the endorsed copy; the range proof was the endorsement.
-  const ListReply verified =
-      TCVS_ENDORSE(std::move(quarantined), mtree::VoVerified{});
-  registers_.Fold(root, root, verified.ctr, verified.creator, user_id_);
+  // Fold the read transaction (same root before and after, counter +1); the
+  // range proof was its check.
+  registers_.Fold(*read, user_id_);
   return out;
 }
 

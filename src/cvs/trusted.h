@@ -53,7 +53,6 @@ struct ServerReply {
   uint32_t creator = 0;
 
   Bytes Serialize() const;
-  TCVS_UNTRUSTED_SOURCE
   static Result<util::Tainted<ServerReply>> Deserialize(const Bytes& data);
 };
 
@@ -72,7 +71,6 @@ struct LogCheckpointReply {
   std::vector<crypto::Digest> consistency;
 
   Bytes Serialize() const;
-  TCVS_UNTRUSTED_SOURCE
   static Result<util::Tainted<LogCheckpointReply>> Deserialize(
       const Bytes& data);
 };
@@ -89,7 +87,6 @@ struct ListReply {
   uint32_t creator = 0;
 
   Bytes Serialize() const;
-  TCVS_UNTRUSTED_SOURCE
   static Result<util::Tainted<ListReply>> Deserialize(const Bytes& data);
 };
 
@@ -292,11 +289,6 @@ class VerifyingClient {
   /// reply is endorsed (ChainVerified) and folded into the registers.
   Result<ServerReply> Execute(const std::vector<FileOp>& ops,
                               std::vector<std::optional<FileRecord>>* pre_records);
-
-  /// Advances the transparency-log checkpoint after a verified consistency
-  /// proof — the audit trusted sink.
-  TCVS_TRUSTED_SINK void AdvanceLogCheckpoint(uint64_t size,
-                                              const crypto::Digest& root);
 
   uint32_t user_id_;
   ServerApi* server_;

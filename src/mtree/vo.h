@@ -98,8 +98,7 @@ struct PointVO {
   /// Parses server-supplied bytes; the result is quarantined until a verify
   /// call endorses it (hand the Tainted VO straight to CheckedVO::Check or a
   /// trusted-root entry point).
-  TCVS_UNTRUSTED_SOURCE static Result<util::Tainted<PointVO>> Deserialize(
-      const Bytes& data);
+  static Result<util::Tainted<PointVO>> Deserialize(const Bytes& data);
 };
 
 /// \brief Verification object for a range scan: the minimal subtree covering
@@ -110,8 +109,7 @@ struct RangeVO {
   Bytes Serialize() const;
   /// Parses server-supplied bytes; quarantined until CheckedVO::Check or
   /// VerifyRangeRead endorses it.
-  TCVS_UNTRUSTED_SOURCE static Result<util::Tainted<RangeVO>> Deserialize(
-      const Bytes& data);
+  static Result<util::Tainted<RangeVO>> Deserialize(const Bytes& data);
 };
 
 /// \brief A VO after its one hashing pass (NodeView::VerifiedDigest): routing
@@ -123,7 +121,7 @@ class CheckedVO {
   /// The only hashing pass over a quarantined PointVO or RangeVO: the
   /// digest, not the VO, is what becomes trusted.
   template <typename VO>
-  TCVS_ENDORSER static Result<CheckedVO> Check(const util::Tainted<VO>& vo) {
+  static Result<CheckedVO> Check(const util::Tainted<VO>& vo) {
     return Check(vo.untrusted().root);
   }
   /// Same over a locally built view (tests, benches, examples).
@@ -167,24 +165,22 @@ class CheckedVO {
 
 /// \brief Point read against a trusted root. \return the value if present,
 /// std::nullopt if provably absent.
-TCVS_ENDORSER Result<std::optional<Bytes>> VerifyPointRead(
-    const Digest& trusted_root, const Bytes& key, const PointVO& vo);
+Result<std::optional<Bytes>> VerifyPointRead(const Digest& trusted_root,
+                                             const Bytes& key,
+                                             const PointVO& vo);
 
 /// \brief Upsert replay against a trusted root. \return the new root.
-TCVS_ENDORSER Result<Digest> VerifyAndApplyUpsert(const Digest& trusted_root,
-                                                  const TreeParams& params,
-                                                  const Bytes& key,
-                                                  const Bytes& value,
-                                                  const PointVO& vo);
+Result<Digest> VerifyAndApplyUpsert(const Digest& trusted_root,
+                                    const TreeParams& params, const Bytes& key,
+                                    const Bytes& value, const PointVO& vo);
 
 /// \brief Delete replay against a trusted root. \return the new root;
 /// NotFound if the key is provably absent (tree unchanged).
-TCVS_ENDORSER Result<Digest> VerifyAndApplyDelete(const Digest& trusted_root,
-                                                  const Bytes& key,
-                                                  const PointVO& vo);
+Result<Digest> VerifyAndApplyDelete(const Digest& trusted_root,
+                                    const Bytes& key, const PointVO& vo);
 
 /// \brief Range scan over [lo, hi] inclusive against a trusted root.
-TCVS_ENDORSER Result<std::vector<std::pair<Bytes, Bytes>>> VerifyRangeRead(
+Result<std::vector<std::pair<Bytes, Bytes>>> VerifyRangeRead(
     const Digest& trusted_root, const Bytes& lo, const Bytes& hi,
     const RangeVO& vo);
 

@@ -64,7 +64,6 @@ struct RpcRequest {
   /// @}
 
   Bytes Serialize() const;
-  TCVS_UNTRUSTED_SOURCE
   static Result<util::Tainted<RpcRequest>> Deserialize(const Bytes& data);
 };
 
@@ -80,22 +79,19 @@ struct RpcResponse {
   Status ToStatus() const;
 
   Bytes Serialize() const;
-  TCVS_UNTRUSTED_SOURCE
   static Result<util::Tainted<RpcResponse>> Deserialize(const Bytes& data);
 };
 
 /// \brief Structural endorsement of a parsed response frame (client side):
 /// the status code must map onto a known StatusCode. See EnvelopeChecked for
 /// what this does — and does not — attest.
-TCVS_ENDORSER Result<RpcResponse> CheckResponseEnvelope(
-    util::Tainted<RpcResponse> resp);
+Result<RpcResponse> CheckResponseEnvelope(util::Tainted<RpcResponse> resp);
 
 /// \brief Structural endorsement of a parsed request frame (serve side): the
 /// type tag and op count were already bounds-checked by Deserialize, and the
 /// server executes whatever a client asks — clients, not the server, carry
 /// the verification burden.
-TCVS_ENDORSER Result<RpcRequest> CheckRequestEnvelope(
-    util::Tainted<RpcRequest> req);
+Result<RpcRequest> CheckRequestEnvelope(util::Tainted<RpcRequest> req);
 
 /// FileOp wire helpers (shared by request serialization and tests). These
 /// parse *sub-fields inside an already quarantined frame*, so they stay on

@@ -39,8 +39,7 @@ Bytes EncodeList(uint32_t user, const std::string& prefix) {
 
 // WAL apply is a trusted sink on the server's own durable state; the WAL is
 // written by this process, so its records are local-origin, not tainted.
-TCVS_TRUSTED_SINK Status ReplayRecord(const Bytes& record,
-                                      cvs::UntrustedServer* server) {
+Status ReplayRecord(const Bytes& record, cvs::UntrustedServer* server) {
   util::Reader r(record);
   TCVS_ASSIGN_OR_RETURN(uint8_t tag, r.GetU8());
   TCVS_ASSIGN_OR_RETURN(uint32_t user, r.GetU32());

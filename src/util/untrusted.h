@@ -3,8 +3,6 @@
 #include <type_traits>
 #include <utility>
 
-#include "util/taint_annotations.h"
-
 namespace tcvs {
 namespace util {
 
@@ -17,27 +15,26 @@ namespace util {
 /// the unwrap sound (VO verification, signature verification, consistency
 /// proof, envelope check). Forgetting a Verify call no longer compiles.
 ///
-/// Three ways to touch the payload, in decreasing order of preference:
+/// Two ways to touch the payload:
 ///
 ///  1. `TCVS_ENDORSE(std::move(t), mtree::VoVerified{})` — unwrap after the
-///     corresponding check succeeded. The verifier argument documents *which*
-///     check; tools/taint_check.py cross-checks that the token is registered
-///     and that an endorser call dominates the unwrap.
+///     corresponding check succeeded. The verifier argument names *which*
+///     check, and must be a registered token (rule R1, SFINAE below).
+///     `Endorse` is the one friend of the wrapper, so nothing else can move
+///     the payload out (rule R3).
 ///  2. `t.untrusted()` — a const borrow for *inspection only*: routing on a
 ///     request id, feeding bytes into a verifier, serializing the value back
-///     out. Borrowed data must never reach a TCVS_TRUSTED_SINK function;
-///     the taint checker flags flows that do ("quarantine pattern": sync/agg
-///     pools hold Tainted values and only ever borrow, because the pooled
+///     out. What it yields cannot reach trusted state (rule R2): the
+///     Protocol II registers fold only a core::Transition, whose roots a
+///     checked VO produced ("quarantine pattern": sync/agg pools hold
+///     Tainted values and only ever borrow, because the pooled
 ///     XOR-telescope comparison *is* the verification and no trusted state
 ///     is derived from the pool).
-///  3. `t.raw()` — the escape hatch for the wrapper's own internals. Banned
-///     outside this header by tools/lint.py (rule `taint-escape`).
 ///
 /// Registering a verifier token: declare the token struct next to the check
 /// it attests and put `TCVS_TAINT_VERIFIER(Name);` in its body. The macro
-/// defines the trait tag SFINAE keys on *and* is the registration mark the
-/// Python tooling greps for; an `Endorse` call with an unregistered functor
-/// fails both the build (no trait tag) and the checker.
+/// defines the trait tag SFINAE keys on; an `Endorse` call with an
+/// unregistered functor does not build.
 
 /// Trait: V is a registered taint-verifier token (declared with
 /// TCVS_TAINT_VERIFIER). Detection-idiom so negative probes in
@@ -51,6 +48,21 @@ struct IsRegisteredTaintVerifier<
 /// Put inside a verifier token struct to register it with the taint layer.
 /// `Name` must be the struct's own (unqualified) name.
 #define TCVS_TAINT_VERIFIER(Name) using tcvs_taint_verifier_tag = Name
+
+template <typename T>
+class Tainted;
+
+/// \brief Unwraps a tainted value after its check succeeded.
+///
+/// `verifier` must be a registered token (TCVS_TAINT_VERIFIER); the
+/// constraint is SFINAE, not static_assert, so an unregistered functor makes
+/// `Endorse` simply not participate in overload resolution — which both
+/// hard-stops real code and lets tests probe the negative case with the
+/// detection idiom. Takes the Tainted by value: endorsing consumes the
+/// quarantined object.
+template <typename T, typename V,
+          typename = std::enable_if_t<IsRegisteredTaintVerifier<V>::value>>
+T Endorse(Tainted<T> value, const V& verifier);
 
 /// \brief A `T` that crossed the trust boundary and has not been verified.
 ///
@@ -78,30 +90,19 @@ class Tainted {
   const T& untrusted() const& { return value_; }
   const T& untrusted() && = delete;
 
-  /// Escape hatch for the endorsement machinery below. tools/lint.py bans
-  /// `.raw(` outside util/untrusted.h (rule `taint-escape`).
-  const T& raw() const& { return value_; }
-  T& raw() & { return value_; }
-
  private:
+  template <typename U, typename V, typename Registered>
+  friend U Endorse(Tainted<U> value, const V& verifier);
+
   T value_;
 };
 
-/// \brief Unwraps a tainted value after its check succeeded.
-///
-/// `verifier` must be a registered token (TCVS_TAINT_VERIFIER); the
-/// constraint is SFINAE, not static_assert, so an unregistered functor makes
-/// `Endorse` simply not participate in overload resolution — which both
-/// hard-stops real code and lets tests probe the negative case with the
-/// detection idiom. Takes the Tainted by value: endorsing consumes the
-/// quarantined object.
-template <typename T, typename V,
-          typename = std::enable_if_t<IsRegisteredTaintVerifier<V>::value>>
+template <typename T, typename V, typename Registered>
 T Endorse(Tainted<T> value, const V& /*verifier*/) {
-  return std::move(value.raw());
+  return std::move(value.value_);
 }
 
-/// Canonical spelling at endorsement points; greppable by the taint checker.
+/// Canonical spelling at endorsement points.
 #define TCVS_ENDORSE(value, verifier) ::tcvs::util::Endorse((value), (verifier))
 
 }  // namespace util

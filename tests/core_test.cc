@@ -19,6 +19,21 @@ crypto::Digest Root(const std::string& name) {
   return crypto::Sha256::Hash(name);
 }
 
+// Commits `name` on `tree` as the server would and replays its point VO
+// through a VoChain: the transition the tree's root took, labelled
+// (ctr, creator).
+Transition Commit(mtree::MerkleBTree& tree, const std::string& name,
+                  uint64_t ctr, uint32_t creator) {
+  const Bytes key = util::ToBytes(name);
+  const Bytes value = util::ToBytes("state " + name);
+  const util::Tainted<mtree::PointVO> vo(tree.Upsert(key, value));
+  VoChain chain(tree.params(), /*user=*/0, ctr, creator, /*gctr=*/ctr);
+  EXPECT_TRUE(chain.Link(vo).ok());
+  EXPECT_TRUE(chain.Step({ChainOp::Kind::kUpsert, key, value}).ok());
+  EXPECT_EQ(chain.root(), tree.root_digest());
+  return std::move(chain).Finish();
+}
+
 bool Closes(const std::vector<const Registers*>& users) {
   std::vector<Bytes> sigmas;
   std::vector<Bytes> lasts;
@@ -70,7 +85,7 @@ TEST(RegistersTest, HonestSerialHistoryClosesAtEveryPrefix) {
     }
     const util::Tainted<mtree::PointVO> wire(std::move(vo));
     ASSERT_TRUE(regs.CheckCounter(user, 0, ctr, Root("unused"), creator).ok());
-    VoChain chain(params, user, ctr, regs.gctr);
+    VoChain chain(params, user, ctr, creator, regs.gctr);
     ASSERT_TRUE(chain.Link(wire).ok()) << "step " << step;
     auto value = chain.Step(op);
     ASSERT_TRUE(value.ok()) << "step " << step << ": "
@@ -84,7 +99,7 @@ TEST(RegistersTest, HonestSerialHistoryClosesAtEveryPrefix) {
     if (op.kind == ChainOp::Kind::kDelete) model.erase(key);
     ASSERT_EQ(chain.root(), server.root_digest()) << "step " << step;
 
-    regs.Fold(chain.pre_root(), chain.root(), ctr, creator, user);
+    regs.Fold(std::move(chain).Finish(), user);
     ++ctr;
     creator = user;
     ASSERT_TRUE(Closes(all)) << "telescope open after step " << step;
@@ -95,18 +110,27 @@ TEST(RegistersTest, HonestSerialHistoryClosesAtEveryPrefix) {
 //   honest: S0 -(u2)-> S1 -(u1)-> S2 -(u2)-> S3 -(u3)-> S4
 //   replay:                       S2 -(u4)-> S3 -(u5)-> S4
 // Untagged, the duplicated segment cancels and u1's last explains the XOR;
-// tagged, the duplicates carry their own creators and nothing cancels.
+// tagged, the duplicates carry their own creators and nothing cancels. The
+// replay line is the tree cloned at S2, as core::Branch::Clone does, so its
+// commits reach the same S3 and S4.
 bool Figure3Closes(bool tagged) {
   std::vector<Registers> u(5, Registers(tagged));
-  const crypto::Digest s0 = mtree::EmptyRootDigest();
-  const crypto::Digest s1 = Root("S1"), s2 = Root("S2"), s3 = Root("S3"),
-                       s4 = Root("S4");
-  u[1].Fold(s0, s1, 0, kInitialCreator, 2);
-  u[0].Fold(s1, s2, 1, 2, 1);
-  u[1].Fold(s2, s3, 2, 1, 2);
-  u[2].Fold(s3, s4, 3, 2, 3);
-  u[3].Fold(s2, s3, 2, 1, 4);  // Replayed pre-state of O3.
-  u[4].Fold(s3, s4, 3, 2, 5);  // Replayed pre-state of O4.
+  mtree::MerkleBTree honest;
+  const Transition o1 = Commit(honest, "S1", 0, kInitialCreator);
+  const Transition o2 = Commit(honest, "S2", 1, 2);
+  mtree::MerkleBTree replay = honest.Clone();
+  const Transition o3 = Commit(honest, "S3", 2, 1);
+  const Transition o4 = Commit(honest, "S4", 3, 2);
+  const Transition r3 = Commit(replay, "S3", 2, 1);
+  const Transition r4 = Commit(replay, "S4", 3, 2);
+  EXPECT_EQ(r3.post_root(), o3.post_root());
+  EXPECT_EQ(r4.post_root(), o4.post_root());
+  u[1].Fold(o1, 2);
+  u[0].Fold(o2, 1);
+  u[1].Fold(o3, 2);
+  u[2].Fold(o4, 3);
+  u[3].Fold(r3, 4);  // Replayed pre-state of O3.
+  u[4].Fold(r4, 5);  // Replayed pre-state of O4.
   return Closes({&u[0], &u[1], &u[2], &u[3], &u[4]});
 }
 
@@ -118,20 +142,24 @@ TEST(RegistersTest, Figure3ReplayClosesUntaggedButFailsTagged) {
 TEST(RegistersTest, OneForkedFoldFails) {
   Registers a;
   Registers b;
-  const crypto::Digest s0 = mtree::EmptyRootDigest();
-  a.Fold(s0, Root("S1"), 0, kInitialCreator, 1);
-  b.Fold(Root("S1"), Root("S2"), 1, 1, 2);
+  mtree::MerkleBTree honest;
+  a.Fold(Commit(honest, "S1", 0, kInitialCreator), 1);
+  mtree::MerkleBTree fork = honest.Clone();
+  b.Fold(Commit(honest, "S2", 1, 1), 2);
   ASSERT_TRUE(Closes({&a, &b}));
   // a is shown S1 again instead of S2: a transition off a forked branch.
-  a.Fold(Root("S1"), Root("S2'"), 1, 1, 1);
+  a.Fold(Commit(fork, "S2'", 1, 1), 1);
   EXPECT_FALSE(Closes({&a, &b}));
 }
 
 TEST(RegistersTest, RegressedCounterEmitsRegressionAndFork) {
   util::AuditLog::Instance().ResetForTesting();
   Registers r;
-  r.Fold(mtree::EmptyRootDigest(), Root("S1"), 0, kInitialCreator, 7);
-  ASSERT_TRUE(r.CheckCounter(7, 0, 1, Root("S1"), 7).ok());
+  mtree::MerkleBTree tree;
+  const Transition s1 = Commit(tree, "S1", 0, kInitialCreator);
+  ASSERT_EQ(s1.pre_root(), mtree::EmptyRootDigest());
+  r.Fold(s1, 7);
+  ASSERT_TRUE(r.CheckCounter(7, 0, 1, s1.post_root(), 7).ok());
   Status st = r.CheckCounter(7, 3, 0, mtree::EmptyRootDigest(), 0);
   ASSERT_TRUE(st.IsDeviationDetected());
   EXPECT_EQ(st.message(), "stale counter 0 (already saw 1)");
@@ -155,7 +183,7 @@ TEST(VoChainTest, BrokenChainEmitsVoMismatchNamingBothRoots) {
   server.Upsert(util::ToBytes("b"), {2});  // A state the chain never saw.
   const util::Tainted<mtree::PointVO> second(server.ProvePoint(key));
 
-  VoChain chain(server.params(), 4, 10, 10);
+  VoChain chain(server.params(), 4, 10, 2, 10);
   ASSERT_TRUE(chain.Link(first).ok());
   ASSERT_TRUE(chain.Step({ChainOp::Kind::kUpsert, key, {1}}).ok());
   ASSERT_EQ(chain.root(), after_first);
@@ -179,7 +207,7 @@ TEST(VoChainTest, DeleteOfAbsentKeyIsAnAuthenticatedNoOp) {
   const util::Tainted<mtree::PointVO> vo(
       server.Delete(util::ToBytes("zz"), &found));
   ASSERT_FALSE(found);
-  VoChain chain(server.params(), 1, 0, 0);
+  VoChain chain(server.params(), 1, 0, kInitialCreator, 0);
   ASSERT_TRUE(chain.Link(vo).ok());
   auto value = chain.Step({ChainOp::Kind::kDelete, util::ToBytes("zz"), {}});
   ASSERT_TRUE(value.ok());

@@ -6,8 +6,8 @@
 /// with Clang) and the always-on corpus-replay test (fuzz_corpus_test.cc,
 /// any compiler) drive.
 ///
-/// Each harness feeds arbitrary bytes to one TCVS_UNTRUSTED_SOURCE
-/// Deserialize. The properties checked:
+/// Each harness feeds arbitrary bytes to one wire Deserialize (a parser
+/// that returns Result<util::Tainted<T>>). The properties checked:
 ///
 ///  * no crash / no sanitizer report on ANY input (the parser is the first
 ///    code hostile bytes reach — rejection must always be a clean Status);

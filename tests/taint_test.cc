@@ -1,10 +1,11 @@
-// Tests for the trust-boundary taint layer (util/untrusted.h): the
-// compile-time guarantees of Tainted<T> (no implicit unwrap, no default
-// construction, endorsement only via registered verifier tokens) and — end
-// to end — that a tampered server reply is rejected BEFORE any trusted-sink
-// mutation: the deviation is audited as kVoMismatch and the client's
-// Protocol II registers (σ, last, gctr, lctr) are byte-identical to their
-// pre-attack values.
+// Tests for the trust boundary: the compile-time guarantees of Tainted<T>
+// (util/untrusted.h: no implicit unwrap, no default construction, no raw()
+// escape, endorsement only via registered verifier tokens) and of
+// core::Transition (the register fold takes nothing else, and only a
+// checked VO makes one) — and, end to end, that a tampered server reply is
+// rejected BEFORE the registers change: the deviation is audited as
+// kVoMismatch and the client's Protocol II registers (σ, last, gctr, lctr)
+// are byte-identical to their pre-attack values.
 
 #include "util/untrusted.h"
 
@@ -16,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/protocol_core.h"
 #include "cvs/trusted.h"
 #include "mtree/vo.h"
 #include "rpc/protocol.h"
@@ -69,6 +71,56 @@ static_assert(!CanEndorseWith<int, CounterfeitToken>::value,
               "an unregistered functor must not unlock quarantine");
 static_assert(!CanEndorseWith<int, int>::value);
 
+// R3: there is no escape hatch beside Endorse. Member-name detection: if T
+// declares any `raw` (overloaded, private or not), naming it through a class
+// that also inherits Fallback::raw is ambiguous, and the specialization
+// drops out.
+struct RawFallback {
+  int raw;
+};
+template <typename T>
+struct WithRawFallback : T, RawFallback {};
+template <typename T, typename = void>
+struct HasRaw : std::true_type {};
+template <typename T>
+struct HasRaw<T, std::void_t<decltype(&WithRawFallback<T>::raw)>>
+    : std::false_type {};
+
+struct OverloadedRaw {  // A const/non-const accessor pair.
+  const int& raw() const&;
+  int& raw() &;
+};
+static_assert(HasRaw<OverloadedRaw>::value, "the probe detects a raw()");
+struct NoRaw {
+  int value;
+};
+static_assert(!HasRaw<NoRaw>::value, "the probe does not fire on every type");
+static_assert(!HasRaw<util::Tainted<int>>::value,
+              "Tainted<T> has no raw(): only Endorse moves the payload out");
+
+// R2: the register fold takes a core::Transition and nothing else, and only
+// a checked VO (core::VoChain, core::ReadTransition) makes one, so a root
+// borrowed from an unendorsed reply cannot reach the fold.
+template <typename Void, typename... Args>
+struct CanFoldImpl : std::false_type {};
+template <typename... Args>
+struct CanFoldImpl<std::void_t<decltype(std::declval<core::Registers&>().Fold(
+                       std::declval<Args>()...))>,
+                   Args...> : std::true_type {};
+template <typename... Args>
+constexpr bool kCanFold = CanFoldImpl<void, Args...>::value;
+
+static_assert(kCanFold<const core::Transition&, uint32_t>,
+              "a transition folds");
+static_assert(!kCanFold<const crypto::Digest&, const crypto::Digest&, uint64_t,
+                        uint32_t, uint32_t>,
+              "raw (pre_root, post_root, ctr, creator, user) must not fold");
+static_assert(!std::is_constructible_v<core::Transition, crypto::Digest,
+                                       crypto::Digest, uint64_t, uint32_t>,
+              "a transition cannot be built from raw values");
+static_assert(!std::is_default_constructible_v<core::Transition>,
+              "a transition always comes from a checked VO");
+
 // ---------------------------------------------------------------------------
 // Wrapper semantics
 // ---------------------------------------------------------------------------
@@ -94,15 +146,14 @@ TEST(TaintedTest, QuarantinePoolHoldsTaintedValues) {
 }
 
 // ---------------------------------------------------------------------------
-// End to end: tampering is caught before any trusted-sink mutation
+// End to end: tampering is caught before the registers change
 // ---------------------------------------------------------------------------
 
 // A Byzantine transport: forwards to the real server but lies about the
 // transaction outcome. The lie is applied on a *copy borrowed from
-// quarantine* and re-wrapped — exactly the laundering move the taint layer
-// exists to catch — which is legitimate here: tests/ simulate the attacker,
-// and the attacker's side of the wire is not the trusted codebase
-// (tools/taint_check.py scans src/ and tools/ only).
+// quarantine* and re-wrapped, which is what an attacker on the wire does:
+// the re-wrapped reply is as untrusted as the original, and the client's
+// chain walk must catch it.
 class TamperingServer : public cvs::ServerApi {
  public:
   explicit TamperingServer(cvs::ServerApi* inner) : inner_(inner) {}
@@ -179,7 +230,7 @@ TEST_F(TaintEndToEndTest, TamperedReplyRejectedBeforeRegisterFold) {
   EXPECT_TRUE(saw_vo_mismatch)
       << "tampered reply must be audited as kVoMismatch";
 
-  // ...and the trusted sinks never ran: every register is byte-identical.
+  // ...and nothing was folded: every register is byte-identical.
   EXPECT_EQ(victim.sigma(), sigma_before);
   EXPECT_EQ(victim.last(), last_before);
   EXPECT_EQ(victim.gctr(), gctr_before);

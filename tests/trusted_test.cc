@@ -384,9 +384,14 @@ TEST(LogAuditTest, HistoryRewriteDetected) {
   // The vendor rewrites an already-audited log entry.
   server.rewrite_log_leaf_for_testing(0, util::ToBytes("fabricated"));
   ASSERT_TRUE(alice.Commit("f", "v3", 2).ok());
+  const uint64_t size_before = alice.log_checkpoint_size();
+  const crypto::Digest root_before = alice.state().log_root;
   Status st = alice.AuditLog();
   EXPECT_TRUE(st.IsDeviationDetected()) << st.ToString();
   EXPECT_NE(st.message().find("rewritten"), std::string::npos);
+  // A failed audit leaves the checkpoint where it was.
+  EXPECT_EQ(alice.log_checkpoint_size(), size_before);
+  EXPECT_EQ(alice.state().log_root, root_before);
 }
 
 TEST(LogAuditTest, RollbackDetectedBySizeAlone) {
@@ -401,6 +406,9 @@ TEST(LogAuditTest, RollbackDetectedBySizeAlone) {
   Status st = alice_later.AuditLog();
   EXPECT_TRUE(st.IsDeviationDetected()) << st.ToString();
   EXPECT_NE(st.message().find("rolled back"), std::string::npos);
+  // A failed audit leaves the checkpoint where it was.
+  EXPECT_EQ(alice_later.log_checkpoint_size(), 1u);
+  EXPECT_EQ(alice_later.state().log_root, alice.state().log_root);
 }
 
 TEST(LogAuditTest, CheckpointSurvivesStatePersistence) {

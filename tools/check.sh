@@ -56,17 +56,16 @@
 #                 metric naming, Prometheus suffix conventions, RPC-method
 #                 metric coverage, admin-endpoint coverage, typed audit
 #                 events, campaign-fixture hygiene, trust-boundary
-#                 quarantine coverage, taint-escape ban)
-#   9. taint      tools/taint_check.py trust-boundary taint analysis:
-#                 --self-test (the seeded-bad fixtures in
-#                 tests/taint_fixtures/ must ALL be flagged, the real tree
-#                 must be clean), then the full-tree scan. The libclang AST
-#                 engine SKIPs itself on gcc-only containers; the
-#                 pure-python flow engine always runs and is authoritative.
-#                 With clang++ installed, also builds the TCVS_FUZZ
-#                 libFuzzer targets and runs each for a bounded smoke over
-#                 its seed corpus [fuzz smoke SKIPPED without clang++ —
-#                 fuzz_corpus_test replays the corpora in stage 1 instead]
+#                 quarantine coverage, Tainted reinterpret_cast ban)
+#   9. fuzz       builds the TCVS_FUZZ libFuzzer targets with clang++ and
+#                 runs each for a bounded smoke over its seed corpus
+#                 [SKIPPED without clang++ — fuzz_corpus_test replays the
+#                 corpora in stage 1 instead]
+#
+# The trust boundary itself needs no stage: a borrowed server value cannot
+# reach the Protocol II register fold (core::Registers::Fold takes only a
+# core::Transition) and nothing but Endorse unwraps a Tainted<T>; both are
+# compile errors, so stage 1 checks them.
 #
 # Exit code: 0 iff every non-skipped stage passed. Suitable for CI as-is:
 #   ./tools/check.sh            # everything
@@ -164,16 +163,12 @@ fuzz_smoke() {
   done
 }
 
-stage_taint() {
-  run_stage taint python3 tools/taint_check.py --self-test
-  [ "${RESULT[taint]}" = FAIL ] && return
-  run_stage taint python3 tools/taint_check.py
-  [ "${RESULT[taint]}" = FAIL ] && return
+stage_fuzz() {
   if command -v clang++ >/dev/null 2>&1; then
-    run_stage taint fuzz_smoke
+    run_stage fuzz fuzz_smoke
   else
-    note "stage taint: clang++ not installed — fuzz smoke SKIPPED (fuzz_corpus_test replays the corpora in stage default)"
-    RESULT[taint]="${RESULT[taint]:-PASS} (fuzz smoke SKIP: no clang++)"
+    note "stage fuzz: clang++ not installed — fuzz smoke SKIPPED (fuzz_corpus_test replays the corpora in stage default)"
+    RESULT[fuzz]="SKIP (fuzz smoke: no clang++)"
   fi
 }
 
@@ -707,7 +702,7 @@ stage_stats() {
 }
 
 STAGES=("$@")
-[ ${#STAGES[@]} -eq 0 ] && STAGES=(default asan tsan tidy stats obs prof bench perf soak lint taint)
+[ ${#STAGES[@]} -eq 0 ] && STAGES=(default asan tsan tidy stats obs prof bench perf soak lint fuzz)
 for stage in "${STAGES[@]}"; do
   case "$stage" in
     default) stage_default ;;
@@ -721,8 +716,8 @@ for stage in "${STAGES[@]}"; do
     perf)    stage_perf ;;
     soak)    stage_soak ;;
     lint)    stage_lint ;;
-    taint)   stage_taint ;;
-    *) echo "check.sh: unknown stage '$stage' (default asan tsan tidy stats obs prof bench perf soak lint taint)" >&2
+    fuzz)    stage_fuzz ;;
+    *) echo "check.sh: unknown stage '$stage' (default asan tsan tidy stats obs prof bench perf soak lint fuzz)" >&2
        exit 2 ;;
   esac
 done

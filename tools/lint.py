@@ -97,18 +97,15 @@ Rules (each violation prints `file:line: [rule] message`; exit 1 if any):
                  core/wire.h, mtree/vo.h) exemptions are banned outright:
                  everything they parse came off the wire.
 
-  taint-escape   `.raw()` — Tainted<T>'s unchecked escape hatch — and
-                 reinterpret_casts involving Tainted are banned outside
-                 src/util/untrusted.h. The only sanctioned way out of
-                 quarantine is TCVS_ENDORSE with a registered verifier.
-                 (tools/taint_check.py enforces the same rule plus flow
-                 tracking; it shares tools/taint_registry.py with this
-                 lint.)
+  taint-escape   reinterpret_casts involving Tainted are banned outside
+                 src/util/untrusted.h: the cast is the one way past the
+                 quarantine the type system cannot see. The only sanctioned
+                 way out of quarantine is TCVS_ENDORSE with a registered
+                 verifier (Tainted<T> has no other accessor that yields a
+                 mutable or movable payload).
 
 Run from anywhere: paths are resolved relative to the repo root (the parent
-of this script's directory). `tools/check.sh` runs this as its last stage.
-tests/taint_fixtures/ is excluded from every rule: those files are seeded-bad
-snippets for `taint_check.py --self-test`.
+of this script's directory). `tools/check.sh lint` runs it.
 """
 
 import re
@@ -116,7 +113,6 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-import taint_registry  # noqa: E402  (shared verifier/source/sink inventory)
 from promcheck import check_metric_name  # noqa: E402  (shared naming rule)
 
 REPO = Path(__file__).resolve().parent.parent
@@ -186,10 +182,6 @@ NAMED_MUTEX_RE = re.compile(r"\bMutex\s+\w+\s*[{(]\s*\"((?:[^\"\\]|\\.)*)\"")
 MUTEX_NAME_OK_RE = re.compile(r"[a-z][a-z0-9_]*(?:\.[a-z0-9_]+)+")
 
 
-# Seeded-bad snippets for `taint_check.py --self-test`; never compiled and
-# exempt from every lint rule.
-TAINT_FIXTURE_DIR = Path("tests/taint_fixtures")
-
 # The trust-boundary headers: everything they deserialize arrived off the
 # wire, so quarantine is mandatory and taint-exempt markers are banned.
 TAINT_STRICT_HEADERS = {
@@ -198,8 +190,9 @@ TAINT_STRICT_HEADERS = {
     Path("src/mtree/vo.h"),
 }
 TAINT_EXEMPT_RE = re.compile(r"//\s*taint-exempt:\s*\S")
-RAW_ESCAPE_ALLOWED = {Path("src/util/untrusted.h")}
-RAW_ESCAPE_RE = re.compile(r"\.\s*raw\s*\(")
+TAINT_ESCAPE_ALLOWED = {Path("src/util/untrusted.h")}
+# A wire parser: `static ... Deserialize(` (the declaration may wrap).
+SOURCE_DECL_RE = re.compile(r"\bstatic\b[^;{=]*?\b(Deserialize)\s*\(")
 
 
 def source_files(dirs, suffixes):
@@ -209,9 +202,6 @@ def source_files(dirs, suffixes):
             continue
         for path in sorted(root.rglob("*")):
             if path.suffix in suffixes and path.is_file():
-                rel = path.relative_to(REPO)
-                if TAINT_FIXTURE_DIR in rel.parents:
-                    continue
                 yield path
 
 
@@ -287,15 +277,9 @@ def main():
                        "MutexLock/CondVar from util/mutex.h so the "
                        "thread-safety analysis can see the lock")
 
-            if (RAW_ESCAPE_RE.search(code_no_str)
-                    and rel not in RAW_ESCAPE_ALLOWED):
-                report(path, lineno, "taint-escape",
-                       "Tainted<T>::raw() outside util/untrusted.h strips "
-                       "quarantine without verification; use TCVS_ENDORSE "
-                       "with a registered verifier")
             if ("reinterpret_cast" in code_no_str
                     and "Tainted" in code_no_str
-                    and rel not in RAW_ESCAPE_ALLOWED):
+                    and rel not in TAINT_ESCAPE_ALLOWED):
                 report(path, lineno, "taint-escape",
                        "reinterpret_cast involving Tainted<T> bypasses the "
                        "quarantine type layer; use TCVS_ENDORSE")
@@ -480,22 +464,15 @@ def main():
                 report(path, lineno, "campaign-fixture",
                        "schedule must be non-empty even-length lowercase hex")
 
-    # Pass 7: trust-boundary quarantine coverage. The untrusted-source names
-    # come from the shared taint registry (functions marked
-    # TCVS_UNTRUSTED_SOURCE), so this rule follows the annotations without
-    # hard-coding "Deserialize".
-    taint_inv = taint_registry.scan()
-    source_names = taint_inv["sources"] or {"Deserialize"}
-    source_decl_re = re.compile(
-        r"\bstatic\b[^;{=]*?\b(%s)\s*\(" %
-        "|".join(re.escape(s) for s in sorted(source_names)))
+    # Pass 7: trust-boundary quarantine coverage: every static Deserialize
+    # in a src/ header returns a Tainted value or says why it need not.
     for path in source_files(["src"], {".h"}):
         rel = path.relative_to(REPO)
         raw_lines = path.read_text().splitlines()
         code_lines = dict(strip_comments(raw_lines))
         joined = "\n".join(code_lines.get(n, "")
                            for n in range(1, len(raw_lines) + 1))
-        for m in source_decl_re.finditer(joined):
+        for m in SOURCE_DECL_RE.finditer(joined):
             lineno = joined.count("\n", 0, m.start()) + 1
             decl = joined[m.start():m.end()]
             if "Tainted<" in decl:
