@@ -1,9 +1,21 @@
 #include "crypto/translog.h"
 
+#include <bit>
+#include <cstring>
+
 namespace tcvs {
 namespace crypto {
 
 namespace {
+
+Digest HashChildren(const uint8_t* left, const uint8_t* right) {
+  Sha256 h;
+  uint8_t tag = 0x01;
+  h.Update(&tag, 1);
+  h.Update(left, kDigestSize);
+  h.Update(right, kDigestSize);
+  return h.Finish();
+}
 
 Digest HashChildren(const Digest& left, const Digest& right) {
   Sha256 h;
@@ -15,11 +27,7 @@ Digest HashChildren(const Digest& left, const Digest& right) {
 }
 
 // Largest power of two strictly less than n (n ≥ 2).
-uint64_t SplitPoint(uint64_t n) {
-  uint64_t k = 1;
-  while (k * 2 < n) k *= 2;
-  return k;
-}
+uint64_t SplitPoint(uint64_t n) { return std::bit_floor(n - 1); }
 
 Digest EmptyRoot() { return Sha256::Hash(""); }
 
@@ -34,14 +42,46 @@ Digest TransparencyLog::LeafHash(const Bytes& entry) {
 }
 
 uint64_t TransparencyLog::Append(const Bytes& entry) {
-  leaves_.push_back(LeafHash(entry));
+  AppendLeafHash(LeafHash(entry));
   return leaves_.size() - 1;
 }
 
+TransparencyLog TransparencyLog::FromLeafHashes(std::vector<Digest> leaves) {
+  TransparencyLog log;
+  log.leaves_.reserve(leaves.size());
+  if (!leaves.empty()) log.nodes_.reserve((leaves.size() - 1) * kDigestSize);
+  for (Digest& leaf : leaves) log.AppendLeafHash(std::move(leaf));
+  return log;
+}
+
+void TransparencyLog::AppendLeafHash(Digest leaf) {
+  leaves_.push_back(std::move(leaf));
+  const uint64_t end = leaves_.size();
+  if (end > 1) nodes_.resize((end - 1) * kDigestSize);
+  // The new leaf completes one subtree per trailing one bit of its index.
+  for (uint64_t w = 2; end % w == 0; w *= 2) {
+    const uint64_t lo = end - w, half = w / 2;
+    const Digest node = HashChildren(Node(lo, half), Node(lo + half, half));
+    std::memcpy(&nodes_[(lo + half - 1) * kDigestSize], node.data(),
+                kDigestSize);
+  }
+}
+
+const uint8_t* TransparencyLog::Node(uint64_t lo, uint64_t width) const {
+  if (width == 1) return leaves_[lo].data();
+  return &nodes_[(lo + width / 2 - 1) * kDigestSize];
+}
+
+// Every range the RFC 6962 recursion reaches from [0, n) starts at a multiple
+// of each power of two no larger than the range, so a power-of-two range is
+// always one cached, complete subtree.
 Digest TransparencyLog::SubtreeRoot(uint64_t lo, uint64_t hi) const {
   const uint64_t n = hi - lo;
   if (n == 0) return EmptyRoot();
-  if (n == 1) return leaves_[lo];
+  if (std::has_single_bit(n)) {
+    const uint8_t* node = Node(lo, n);
+    return Digest(node, node + kDigestSize);
+  }
   uint64_t k = SplitPoint(n);
   return HashChildren(SubtreeRoot(lo, lo + k), SubtreeRoot(lo + k, hi));
 }

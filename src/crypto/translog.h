@@ -29,6 +29,11 @@ struct ConsistencyVerified {
 ///
 /// Domain separation follows RFC 6962: leaf hash = H(0x00 ‖ entry),
 /// node hash = H(0x01 ‖ left ‖ right). The empty log's root is H("").
+///
+/// Costs: the root of every complete, aligned power-of-two subtree is cached
+/// as it completes (one amortised hash per Append), so Root and RootAt hash
+/// only along the right spine — O(log n) — and each proof node is a cached
+/// left subtree or a right-spine root: O(log² n) worst case per proof.
 class TransparencyLog {
  public:
   TransparencyLog() = default;
@@ -74,14 +79,16 @@ class TransparencyLog {
   /// Raw leaf hashes (for persistence).
   const std::vector<Digest>& leaf_hashes() const { return leaves_; }
 
-  /// Reconstructs a log from persisted leaf hashes.
-  static TransparencyLog FromLeafHashes(std::vector<Digest> leaves) {
-    TransparencyLog log;
-    log.leaves_ = std::move(leaves);
-    return log;
-  }
+  /// Reconstructs a log (and its node cache, in O(n)) from persisted leaf
+  /// hashes of kDigestSize bytes each.
+  static TransparencyLog FromLeafHashes(std::vector<Digest> leaves);
 
  private:
+  void AppendLeafHash(Digest leaf);
+  /// Root of the complete subtree over entries [lo, lo + width) (the leaf
+  /// hash when width is 1), where width is a power of two dividing lo and
+  /// lo + width ≤ size().
+  const uint8_t* Node(uint64_t lo, uint64_t width) const;
   Digest SubtreeRoot(uint64_t lo, uint64_t hi) const;  // Entries [lo, hi).
   void SubtreeInclusion(uint64_t index, uint64_t lo, uint64_t hi,
                         std::vector<Digest>* proof) const;
@@ -89,6 +96,12 @@ class TransparencyLog {
                           std::vector<Digest>* proof) const;
 
   std::vector<Digest> leaves_;  // Leaf hashes.
+  // Node cache: kDigestSize-byte slots in the tree's in-order layout, where
+  // leaf i sits at position 2i and the subtree [lo, lo + w) at 2lo + w - 1.
+  // The even positions are leaves_, so slot p holds position 2p + 1, i.e.
+  // subtree [lo, lo + w) lives in slot lo + w/2 - 1. A log of n ≥ 1 entries
+  // has n - 1 slots; each is written once, when its subtree completes.
+  std::vector<uint8_t> nodes_;
 };
 
 }  // namespace crypto

@@ -6,8 +6,10 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <charconv>
 #include <chrono>
@@ -66,15 +68,25 @@ Status PollFd(int fd, short events, bool has_deadline,
   }
 }
 
-/// Writes exactly `len` bytes, retrying EINTR, short writes, and EAGAIN
-/// (via poll) until done or the deadline passes. MSG_NOSIGNAL keeps a dead
-/// peer from killing the process with SIGPIPE — essential once faults and
-/// retries make mid-write disconnects routine.
-Status WriteAll(int fd, const uint8_t* data, size_t len, bool has_deadline,
+/// Writes every byte the `iovcnt` buffers at `iov` describe, retrying
+/// EINTR, short writes, and EAGAIN (via poll) until done or the deadline
+/// passes; a short write advances `iov` in place. One sendmsg per attempt
+/// puts a frame's header and payload in the same segment, so Nagle never
+/// holds a payload back behind a header waiting for the peer's delayed ACK.
+/// MSG_NOSIGNAL keeps a dead peer from killing the process with SIGPIPE —
+/// essential once faults and retries make mid-write disconnects routine.
+Status WriteAll(int fd, iovec* iov, int iovcnt, bool has_deadline,
                 Clock::time_point deadline) {
-  size_t done = 0;
-  while (done < len) {
-    ssize_t n = ::send(fd, data + done, len - done, MSG_NOSIGNAL);
+  for (;;) {
+    while (iovcnt > 0 && iov->iov_len == 0) {
+      ++iov;
+      --iovcnt;
+    }
+    if (iovcnt == 0) return Status::OK();
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = static_cast<size_t>(iovcnt);
+    ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -86,9 +98,15 @@ Status WriteAll(int fd, const uint8_t* data, size_t len, bool has_deadline,
       }
       return Errno("write");
     }
-    done += static_cast<size_t>(n);
+    for (auto left = static_cast<size_t>(n); left > 0; ++iov, --iovcnt) {
+      if (left < iov->iov_len) {
+        iov->iov_base = static_cast<uint8_t*>(iov->iov_base) + left;
+        iov->iov_len -= left;
+        break;
+      }
+      left -= iov->iov_len;
+    }
   }
-  return Status::OK();
 }
 
 Status ReadAll(int fd, uint8_t* data, size_t len, bool has_deadline,
@@ -220,34 +238,29 @@ Status TcpConnection::SendFrame(const Bytes& payload) {
   uint8_t header[4];
   uint32_t len = static_cast<uint32_t>(payload.size());
   for (int i = 0; i < 4; ++i) header[i] = static_cast<uint8_t>(len >> (8 * i));
+  // sendmsg never writes through iov_base; the casts only shed const.
+  iovec iov[2] = {{header, 4},
+                  {const_cast<uint8_t*>(payload.data()), payload.size()}};
 
   if (faults.ShouldFail(kFaultSendTruncate, &arg)) {
     // Write a prefix of the framed message, then sever the connection: the
     // peer sees a torn frame exactly as if we died mid-write.
-    Bytes framed(header, header + 4);
-    framed.insert(framed.end(), payload.begin(), payload.end());
-    size_t cut = static_cast<size_t>(arg) < framed.size()
-                     ? static_cast<size_t>(arg)
-                     : framed.size();
-    (void)WriteAll(fd_, framed.data(), cut, has_deadline, deadline);
+    size_t cut = std::min<uint64_t>(arg, 4 + payload.size());
+    iov[0].iov_len = std::min<size_t>(cut, 4);
+    iov[1].iov_len = cut - iov[0].iov_len;
+    (void)WriteAll(fd_, iov, 2, has_deadline, deadline);
     Close();
     return Status::IOError("fault injected: " +
                            std::string(kFaultSendTruncate));
   }
+  Bytes corrupted;
   if (faults.ShouldFail(kFaultSendBitflip, &arg) && !payload.empty()) {
-    Bytes corrupted = payload;
+    corrupted = payload;
     corrupted[arg % corrupted.size()] ^= 0x01;
-    TCVS_RETURN_NOT_OK(WriteAll(fd_, header, 4, has_deadline, deadline));
-    Status st = WriteAll(fd_, corrupted.data(), corrupted.size(), has_deadline,
-                         deadline);
-    if (st.IsDeadlineExceeded()) Close();
-    return st;
+    iov[1].iov_base = corrupted.data();
   }
 
-  Status st = WriteAll(fd_, header, 4, has_deadline, deadline);
-  if (st.ok()) {
-    st = WriteAll(fd_, payload.data(), payload.size(), has_deadline, deadline);
-  }
+  Status st = WriteAll(fd_, iov, 2, has_deadline, deadline);
   // A deadline mid-frame leaves the stream unframed; poison the connection.
   if (st.IsDeadlineExceeded()) Close();
   if (st.ok()) {
@@ -328,7 +341,8 @@ Status TcpConnection::WriteRaw(const uint8_t* data, size_t len) {
   bool has_deadline = io_timeout_ms_ > 0;
   Clock::time_point deadline =
       Clock::now() + std::chrono::milliseconds(io_timeout_ms_);
-  return WriteAll(fd_, data, len, has_deadline, deadline);
+  iovec iov{const_cast<uint8_t*>(data), len};
+  return WriteAll(fd_, &iov, 1, has_deadline, deadline);
 }
 
 TcpListener::~TcpListener() { Close(); }
@@ -398,6 +412,11 @@ Result<TcpConnection> TcpListener::Accept(int timeout_ms) {
     cfd = ::accept(fd_, nullptr, nullptr);
   } while (cfd < 0 && errno == EINTR);
   if (cfd < 0) return Errno("accept");
+  // Both ends of every connection run with Nagle off (Connect sets it on
+  // the client side): a reply must leave as soon as it is written, not
+  // after the peer's delayed ACK for the previous segment.
+  int one = 1;
+  ::setsockopt(cfd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   return TcpConnection(cfd);
 }
 

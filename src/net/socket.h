@@ -68,7 +68,8 @@ class TcpConnection {
   /// io-timeout the connection stays usable.
   Status WaitReadable(int timeout_ms);
 
-  /// Writes one frame, retrying short writes and EINTR internally.
+  /// Writes one frame — header and payload in one sendmsg — retrying short
+  /// writes and EINTR internally.
   Status SendFrame(const Bytes& payload);
 
   /// Reads one frame, retrying short reads and EINTR internally.
@@ -87,6 +88,8 @@ class TcpConnection {
   /// @}
 
   bool valid() const { return fd_ >= 0; }
+  /// The socket descriptor (-1 once closed), for inspecting socket options.
+  int fd() const { return fd_; }
   void Close();
 
   /// Maximum accepted frame size (16 MiB).

@@ -264,6 +264,41 @@ TEST_F(FaultTest, InjectedConnectFailure) {
   EXPECT_TRUE(conn.status().IsUnavailable());
 }
 
+// A frame cut inside the header, after the header, inside the payload, or
+// past its end: the sender reports the injected fault and drops the
+// connection, and the peer never mistakes a torn frame for a whole one.
+TEST_F(FaultTest, TruncatedSendTearsTheFrame) {
+  const Bytes payload = util::ToBytes("a payload of some length");
+  const uint64_t frame_size = 4 + payload.size();
+  for (uint64_t cut : {uint64_t{2}, uint64_t{4}, uint64_t{4 + 7},
+                       frame_size + 100}) {
+    auto listener = net::TcpListener::Bind(0);
+    ASSERT_TRUE(listener.ok());
+    auto sender = net::TcpConnection::Connect("127.0.0.1", listener->port());
+    ASSERT_TRUE(sender.ok());
+    auto peer = listener->Accept();
+    ASSERT_TRUE(peer.ok());
+    peer->set_io_timeout_ms(2000);
+
+    FaultInjector::Instance().Arm(net::kFaultSendTruncate,
+                                  FaultSpec::OneShot(cut));
+    Status sent = sender->SendFrame(payload);
+    EXPECT_TRUE(sent.IsIOError()) << sent.ToString();
+    EXPECT_EQ(FaultInjector::Instance().fires(net::kFaultSendTruncate), 1u);
+    EXPECT_FALSE(sender->valid()) << "cut=" << cut;
+
+    auto got = peer->ReceiveFrame();
+    if (cut >= frame_size) {
+      // Cut past the end: the whole frame went out, then the connection.
+      ASSERT_TRUE(got.ok()) << "cut=" << cut << ": " << got.status().ToString();
+      EXPECT_EQ(*got, payload);
+      got = peer->ReceiveFrame();
+    }
+    EXPECT_TRUE(got.status().IsIOError())
+        << "cut=" << cut << ": " << got.status().ToString();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end resilience over a served repository
 // ---------------------------------------------------------------------------
@@ -364,6 +399,40 @@ TEST_F(FaultedRepository, BitflipIsVerificationFailureAndNeverRetried) {
   // Corruption is evidence, not noise: no retry happened.
   EXPECT_EQ((*remote)->transport_retries(), 0u);
   EXPECT_EQ(FaultInjector::Instance().fires(net::kFaultSendBitflip), 1u);
+  remote->reset();
+}
+
+TEST_F(FaultedRepository, TornFramesAreRetriedTransparently) {
+  auto remote = rpc::RemoteServer::Connect("127.0.0.1", port_,
+                                           FastRetryOptions());
+  ASSERT_TRUE(remote.ok());
+  cvs::VerifyingClient alice(1, remote->get());
+  constexpr uint64_t kPastEnd = uint64_t{1} << 20;
+  uint64_t rev = 0;
+  // Hit 1 is the client's request (torn before the server executes it);
+  // hit 2 is the server's reply (torn after it did: the retry must replay
+  // the cached reply, not execute twice).
+  for (uint64_t hit : {1, 2}) {
+    for (uint64_t cut : {uint64_t{2}, uint64_t{4}, uint64_t{4 + 7}, kPastEnd}) {
+      const uint64_t retries = (*remote)->transport_retries();
+      FaultInjector::Instance().Arm(net::kFaultSendTruncate,
+                                    FaultSpec::Nth(hit, cut));
+      auto committed = alice.Commit("f", "v" + std::to_string(rev + 1), rev);
+      ASSERT_TRUE(committed.ok())
+          << "hit=" << hit << " cut=" << cut << ": "
+          << committed.status().ToString();
+      rev = *committed;
+      EXPECT_EQ(FaultInjector::Instance().fires(net::kFaultSendTruncate), 1u);
+      // A reply cut past its end arrived whole: only the next call, on the
+      // closed connection, reconnects.
+      if (hit == 1 || cut != kPastEnd) {
+        EXPECT_GT((*remote)->transport_retries(), retries)
+            << "hit=" << hit << " cut=" << cut;
+      }
+      EXPECT_EQ(repo_.ctr(), rev);  // Executed exactly once.
+    }
+  }
+  EXPECT_TRUE(cvs::VerifyingClient::SyncCheck({alice.state()}).ok());
   remote->reset();
 }
 

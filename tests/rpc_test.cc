@@ -3,8 +3,14 @@
 // path of the `tcvsd` / `tcvs` tools.
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 
+#include <algorithm>
+#include <chrono>
 #include <thread>
+#include <vector>
 
 #include "net/socket.h"
 #include "rpc/protocol.h"
@@ -47,23 +53,51 @@ TEST(NetTest, FrameRoundTrip) {
   client_thread.join();
 }
 
+// Larger than any socket buffer, so sendmsg returns short and the writer
+// must advance its iovec within the payload; below kMaxFrame, so legal.
 TEST(NetTest, LargeFrame) {
   auto listener = net::TcpListener::Bind(0);
   ASSERT_TRUE(listener.ok());
   util::Rng rng(5);
-  Bytes big = rng.RandomBytes(3 << 20);  // 3 MiB.
+  const Bytes big = rng.RandomBytes(12 << 20);  // 12 MiB.
+  ASSERT_LT(big.size(), net::TcpConnection::kMaxFrame);
 
   std::thread client_thread([&] {
     auto conn = net::TcpConnection::Connect("127.0.0.1", listener->port());
     ASSERT_TRUE(conn.ok());
     ASSERT_TRUE(conn->SendFrame(big).ok());
+    auto echo = conn->ReceiveFrame();
+    ASSERT_TRUE(echo.ok()) << echo.status().ToString();
+    EXPECT_TRUE(*echo == big);
   });
   auto server_conn = listener->Accept();
   ASSERT_TRUE(server_conn.ok());
   auto got = server_conn->ReceiveFrame();
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(*got, big);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(*got == big);
+  ASSERT_TRUE(server_conn->SendFrame(*got).ok());
   client_thread.join();
+}
+
+bool NagleOff(const net::TcpConnection& conn) {
+  int on = 0;
+  socklen_t len = sizeof(on);
+  return ::getsockopt(conn.fd(), IPPROTO_TCP, TCP_NODELAY, &on, &len) == 0 &&
+         on != 0;
+}
+
+// Nagle plus the peer's delayed ACK can hold a reply for ~40 ms (see
+// SequentialRoundTripsDoNotStall), so both ends of a connection run with
+// TCP_NODELAY.
+TEST(NetTest, BothEndsRunWithNagleOff) {
+  auto listener = net::TcpListener::Bind(0);
+  ASSERT_TRUE(listener.ok());
+  auto client = net::TcpConnection::Connect("127.0.0.1", listener->port());
+  ASSERT_TRUE(client.ok());
+  auto server = listener->Accept();
+  ASSERT_TRUE(server.ok());
+  EXPECT_TRUE(NagleOff(*client));
+  EXPECT_TRUE(NagleOff(*server));
 }
 
 TEST(NetTest, DisconnectYieldsIoError) {
@@ -196,6 +230,33 @@ class ServedRepository : public ::testing::Test {
   uint16_t port_ = 0;
   std::thread server_thread_;
 };
+
+// The deployed round trip is work-bound, not stall-bound: 200 sequential
+// GetParams calls (no protocol work at all) take ~0.1 ms each over
+// loopback. Linux's Nagle holds a segment smaller than the MSS while an
+// earlier small segment is unacknowledged, and the peer's delayed ACK
+// releases it ~40 ms later — the fate of a frame written as a header send
+// plus a payload send on a socket with Nagle on.
+TEST_F(ServedRepository, SequentialRoundTripsDoNotStall) {
+  auto conn = net::TcpConnection::Connect("127.0.0.1", port_, 1000);
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+  conn->set_io_timeout_ms(5000);
+  rpc::RpcRequest req;
+  req.type = rpc::RpcType::kGetParams;
+  std::vector<double> us;
+  for (int i = 0; i < 200; ++i) {
+    req.request_id = static_cast<uint64_t>(i + 1);
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(conn->SendFrame(req.Serialize()).ok());
+    auto reply = conn->ReceiveFrame();
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    us.push_back(std::chrono::duration<double, std::micro>(
+                     std::chrono::steady_clock::now() - start)
+                     .count());
+  }
+  std::nth_element(us.begin(), us.begin() + us.size() / 2, us.end());
+  EXPECT_LT(us[us.size() / 2], 10'000.0) << "p50 round trip in us";
+}
 
 TEST_F(ServedRepository, FullVerifiedFlowOverTcp) {
   auto alice_remote = rpc::RemoteServer::Connect("127.0.0.1", port_);

@@ -1,10 +1,15 @@
 // Transparency-log tests: RFC 6962 Merkle tree hashes, inclusion proofs,
 // consistency proofs — generated and verified, across every (m, n) pair of a
-// growing log, plus adversarial mutations.
+// growing log, plus adversarial mutations — and a seeded differential test
+// of the cached-node log against the naive recursive definition.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+
 #include "crypto/translog.h"
+#include "util/metrics.h"
 #include "util/random.h"
 
 namespace tcvs {
@@ -203,6 +208,200 @@ TEST(TransparencyLogTest, LargeRandomizedSweep) {
                     .ok())
         << m << "->" << n;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Differential test: the cached log against the naive RFC 6962 recursion
+// ---------------------------------------------------------------------------
+
+// The reference: RFC 6962 §2.1 computed straight from the leaf hashes, with
+// no cache — every subtree root is rehashed from its leaves on each use.
+class NaiveLog {
+ public:
+  explicit NaiveLog(const std::vector<Digest>* leaves) : leaves_(leaves) {}
+
+  Digest Root(uint64_t n) const { return SubtreeRoot(0, n); }
+
+  std::vector<Digest> Inclusion(uint64_t index, uint64_t n) const {
+    std::vector<Digest> proof;
+    SubtreeInclusion(index, 0, n, &proof);
+    return proof;
+  }
+
+  std::vector<Digest> Consistency(uint64_t m, uint64_t n) const {
+    std::vector<Digest> proof;
+    if (m != 0 && m != n) SubtreeConsistency(m, 0, n, true, &proof);
+    return proof;
+  }
+
+ private:
+  static Digest Node(const Digest& left, const Digest& right) {
+    Sha256 h;
+    const uint8_t tag = 0x01;
+    h.Update(&tag, 1);
+    h.Update(left);
+    h.Update(right);
+    return h.Finish();
+  }
+
+  static uint64_t Split(uint64_t n) {
+    uint64_t k = 1;
+    while (k * 2 < n) k *= 2;
+    return k;
+  }
+
+  Digest SubtreeRoot(uint64_t lo, uint64_t hi) const {
+    const uint64_t n = hi - lo;
+    if (n == 0) return Sha256::Hash("");
+    if (n == 1) return (*leaves_)[lo];
+    const uint64_t k = Split(n);
+    return Node(SubtreeRoot(lo, lo + k), SubtreeRoot(lo + k, hi));
+  }
+
+  void SubtreeInclusion(uint64_t index, uint64_t lo, uint64_t hi,
+                        std::vector<Digest>* proof) const {
+    const uint64_t n = hi - lo;
+    if (n == 1) return;
+    const uint64_t k = Split(n);
+    if (index < k) {
+      SubtreeInclusion(index, lo, lo + k, proof);
+      proof->push_back(SubtreeRoot(lo + k, hi));
+    } else {
+      SubtreeInclusion(index - k, lo + k, hi, proof);
+      proof->push_back(SubtreeRoot(lo, lo + k));
+    }
+  }
+
+  void SubtreeConsistency(uint64_t m, uint64_t lo, uint64_t hi, bool lo_is_old,
+                          std::vector<Digest>* proof) const {
+    const uint64_t n = hi - lo;
+    if (m == n) {
+      if (!lo_is_old) proof->push_back(SubtreeRoot(lo, hi));
+      return;
+    }
+    const uint64_t k = Split(n);
+    if (m <= k) {
+      SubtreeConsistency(m, lo, lo + k, lo_is_old, proof);
+      proof->push_back(SubtreeRoot(lo + k, hi));
+    } else {
+      SubtreeConsistency(m - k, lo + k, hi, false, proof);
+      proof->push_back(SubtreeRoot(lo, lo + k));
+    }
+  }
+
+  const std::vector<Digest>* leaves_;
+};
+
+Bytes Entry(uint64_t i) {
+  Bytes b(8);
+  for (int j = 0; j < 8; ++j) b[j] = static_cast<uint8_t>(i >> (8 * j));
+  return b;
+}
+
+// Checks RootAt(n) (and Root() when n is the whole log), and InclusionProof
+// and ConsistencyProof for a random index and old size, byte for byte
+// against the reference.
+void ExpectMatchesReference(const TransparencyLog& log, const NaiveLog& ref,
+                            uint64_t n, util::Rng* rng) {
+  const Digest root = ref.Root(n);
+  ASSERT_EQ(*log.RootAt(n), root) << "n=" << n;
+  if (n == log.size()) {
+    ASSERT_EQ(log.Root(), root) << "n=" << n;
+  }
+  if (n == 0) return;
+  const uint64_t index = rng->Uniform(n);
+  ASSERT_EQ(*log.InclusionProof(index, n), ref.Inclusion(index, n))
+      << "index=" << index << " n=" << n;
+  const uint64_t m = rng->Uniform(n + 1);
+  ASSERT_EQ(*log.ConsistencyProof(m, n), ref.Consistency(m, n))
+      << "m=" << m << " n=" << n;
+}
+
+TEST(TransparencyLogCacheTest, MatchesNaiveRecursionUpToTwoToTheTwenty) {
+  constexpr uint64_t kMax = uint64_t{1} << 20;
+  util::Rng rng(24);
+  // Dense below 300. Above, a seeded size per octave up to 2^17, each power
+  // of two and its neighbours up to 2^12, and 2^20 itself: every check costs
+  // the reference a rehash of each leaf, so the probes thin out as n grows.
+  std::vector<uint64_t> sparse{kMax};
+  for (uint64_t p = 512; p <= (uint64_t{1} << 17); p *= 2) {
+    sparse.push_back(p + rng.Uniform(p));
+    if (p <= 4096) sparse.insert(sparse.end(), {p - 1, p, p + 1});
+  }
+  std::sort(sparse.begin(), sparse.end());
+  sparse.erase(std::unique(sparse.begin(), sparse.end()), sparse.end());
+
+  TransparencyLog log;
+  // The reference reads the same leaf hashes (LeafHash is not under test).
+  NaiveLog ref(&log.leaf_hashes());
+  ExpectMatchesReference(log, ref, 0, &rng);
+  auto next_sparse = sparse.begin();
+  for (uint64_t n = 1; n <= kMax; ++n) {
+    log.Append(Entry(n));
+    if (n >= 300) {
+      if (next_sparse == sparse.end() || *next_sparse != n) continue;
+      ++next_sparse;
+    }
+    ExpectMatchesReference(log, ref, n, &rng);
+    // An older size stays provable against the grown log (kept below 4096
+    // for the reference's sake).
+    ExpectMatchesReference(log, ref, rng.Uniform(std::min<uint64_t>(n, 4096)),
+                           &rng);
+  }
+  EXPECT_EQ(next_sparse, sparse.end());
+}
+
+TEST(TransparencyLogCacheTest, FromLeafHashesRebuildsTheCache) {
+  TransparencyLog grown;
+  for (uint64_t i = 0; i < 1000; ++i) grown.Append(Entry(i));
+  std::vector<Digest> leaves = grown.leaf_hashes();
+  TransparencyLog restored = TransparencyLog::FromLeafHashes(leaves);
+  NaiveLog ref(&leaves);
+  util::Rng rng(7);
+  for (uint64_t n = 0; n <= 1000; n += 37) {
+    ASSERT_EQ(*restored.RootAt(n), *grown.RootAt(n)) << n;
+    ExpectMatchesReference(restored, ref, n, &rng);
+  }
+
+  // Rewriting one leaf (a history-rewriting vendor) must reach every cached
+  // node above it, not only the leaf.
+  leaves[5] = TransparencyLog::LeafHash(util::ToBytes("REWRITTEN"));
+  TransparencyLog rewritten = TransparencyLog::FromLeafHashes(leaves);
+  EXPECT_NE(rewritten.Root(), grown.Root());
+  EXPECT_EQ(*rewritten.RootAt(5), *grown.RootAt(5));
+  EXPECT_NE(*rewritten.RootAt(6), *grown.RootAt(6));
+  for (uint64_t n = 0; n <= 1000; n += 37) {
+    ExpectMatchesReference(rewritten, ref, n, &rng);
+  }
+}
+
+uint64_t HashesDuring(const std::function<void()>& fn) {
+  util::Counter* hashes = util::MetricsRegistry::Instance().GetCounter(
+      "crypto.sha256.hashes_total");
+  const uint64_t before = hashes->value();
+  fn();
+  return hashes->value() - before;
+}
+
+TEST(TransparencyLogCacheTest, RootAndProofsHashOnlyAlongTheRightSpine) {
+  TransparencyLog log;
+  uint64_t append_hashes = 0;
+  for (uint64_t i = 0; i < (uint64_t{1} << 16); ++i) {
+    append_hashes += HashesDuring([&] { log.Append(Entry(i)); });
+    if (log.size() == (uint64_t{1} << 16) - 1) {
+      // 2^16 - 1 entries: sixteen complete subtrees, fifteen spine hashes.
+      EXPECT_LE(HashesDuring([&] { (void)log.Root(); }), 64u);
+      EXPECT_LE(HashesDuring([&] { (void)log.InclusionProof(0, log.size()); }),
+                16u * 16u);
+      EXPECT_LE(HashesDuring([&] {
+                  (void)log.ConsistencyProof(12345, log.size());
+                }),
+                16u * 16u);
+    }
+  }
+  EXPECT_LE(HashesDuring([&] { (void)log.Root(); }), 64u);
+  // One leaf hash plus one amortised node hash per entry.
+  EXPECT_EQ(append_hashes, 2 * log.size() - 1);
 }
 
 }  // namespace

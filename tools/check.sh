@@ -44,7 +44,13 @@
 #                 schema), and tools/bench_compare.py must pass against the
 #                 committed baselines in bench/baselines/ (threshold 75% —
 #                 the gate catches order-of-magnitude throughput losses,
-#                 not shared-runner jitter)
+#                 not shared-runner jitter). Then the deployed-stack floor:
+#                 the transport stall tests (TCP_NODELAY on both ends,
+#                 p50 of 200 loopback round trips < 10 ms) must pass, and
+#                 perfbench checkout_hot (seed 1, 5 s, untraced) must
+#                 report correct=true at >= 1,500 ops/s — 33x the ~45 of a
+#                 reply stalled on Nagle + delayed ACK, 10x under the
+#                 ~15,000 of the unstalled stack
 #   7. soak       seeded Byzantine campaign smoke: a short randomized
 #                 campaign (TCVS_SOAK_ROUNDS scenarios, default 40 — crank
 #                 it up for nightly runs) must hold every harness invariant
@@ -275,14 +281,41 @@ PYEOF
   return $rc
 }
 
+# Deployed-stack floor: a reply held back by Nagle until the peer's delayed
+# ACK (~40 ms) caps a closed-loop client at ~25 round trips per second, so
+# the floor sits far above a stalled stack and far below a healthy one.
+deployed_floor() {
+  local out rc=1
+  out=$(mktemp) || return 1
+  while :; do  # Single-pass; break is the error exit.
+    ctest --preset default --no-tests=error \
+        -R 'NagleOff|RoundTripsDoNotStall' || break
+    python3 perfbench/run.py --workload checkout_hot --seed 1 --seconds 5 \
+        --trace 0 > "$out" || break
+    python3 - "$out" <<'PYEOF' || break
+import json, sys
+result = json.loads(open(sys.argv[1]).read().strip().splitlines()[-1])
+assert result["correct"], "perfbench checkout_hot: correct=false"
+ops = result["metrics"]["ops_per_s"]["value"]
+assert ops >= 1500, f"perfbench checkout_hot: {ops:.0f} ops/s < 1500 floor"
+print(f"perf: checkout_hot {ops:.0f} ops/s >= 1500 floor")
+PYEOF
+    rc=0
+    break
+  done
+  rm -f "$out"
+  return $rc
+}
+
 stage_perf() {
   run_stage perf cmake --preset default
   [ "${RESULT[perf]}" = FAIL ] && return
   run_stage perf cmake --build --preset default -j "$JOBS" \
       --target bench_crypto bench_merkle_tree bench_wal_commit \
-               bench_protocol_overhead
+               bench_protocol_overhead rpc_test
   [ "${RESULT[perf]}" = FAIL ] && return
   run_stage perf perf_smoke
+  run_stage perf deployed_floor
 }
 
 # Live observability smoke: start tcvsd with the admin plane, drive real
@@ -465,12 +498,21 @@ PYEOF
     wait "$daemon" || break
     daemon=""
     # Scrape-overhead gate: the bench's ops/sec columns must hold against
-    # the committed baseline.
+    # the committed baseline, and the measured 10 Hz delta stays <= 5%.
     mkdir -p "$tmp/bench"
     TCVS_BENCH_JSON_DIR="$tmp/bench" ./build/bench/bench_admin_scrape \
         > /dev/null || break
     python3 tools/bench_compare.py bench/baselines "$tmp/bench" \
         --threshold 75 || break
+    python3 - "$tmp/bench/BENCH_bench_admin_scrape.json" <<'PYEOF' || break
+import json, sys
+doc = json.load(open(sys.argv[1]))
+for table in doc["tables"]:
+    d = dict(zip(table["headers"], table["rows"][-1]))
+    delta = float(d["delta_pct"])
+    assert delta <= 5.0, f"{table['title']}: scrape overhead {delta}% > 5%"
+print("obs: scrape overhead within the 5% budget")
+PYEOF
     rc=0
     break
   done
