@@ -2,8 +2,8 @@
 //
 // Protocol I's per-operation signature and Protocol III's per-epoch blob
 // signatures ride on the hash-based schemes built here; this bench gives
-// the primitive costs behind the protocol overheads of E6, plus the
-// Winternitz-w ablation from DESIGN.md §5 (signature size vs time).
+// the primitive costs behind the protocol overheads of E6. The Winternitz
+// benches run the one parameter set, w = 4 (the "/4" in their names).
 
 #include <benchmark/benchmark.h>
 
@@ -12,7 +12,6 @@
 #include "crypto/hmac.h"
 #include "crypto/merkle_sig.h"
 #include "crypto/sha256.h"
-#include "crypto/signature.h"
 #include "crypto/winternitz.h"
 #include "util/random.h"
 
@@ -96,42 +95,40 @@ void BM_HmacSha256(benchmark::State& state) {
 BENCHMARK(BM_HmacSha256)->Arg(32)->Arg(4096);
 
 void BM_WotsKeygen(benchmark::State& state) {
-  WotsParams params{.w = static_cast<int>(state.range(0))};
   util::Rng rng(5);
   for (auto _ : state) {
-    WinternitzSigner signer(rng.RandomBytes(32), params);
+    WinternitzSigner signer(rng.RandomBytes(32));
     benchmark::DoNotOptimize(signer.public_key());
   }
-  WinternitzSigner probe(util::ToBytes("probe"), params);
+  WinternitzSigner probe(util::ToBytes("probe"));
   Bytes sig = *probe.Sign(util::ToBytes("m"));
   state.counters["sig_bytes"] = double(sig.size());
 }
-BENCHMARK(BM_WotsKeygen)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_WotsKeygen)->Arg(kWotsW);
 
 void BM_WotsSign(benchmark::State& state) {
-  WotsParams params{.w = static_cast<int>(state.range(0))};
   util::Rng rng(6);
   Bytes msg = util::ToBytes("root digest");
   for (auto _ : state) {
     state.PauseTiming();
-    WinternitzSigner signer(rng.RandomBytes(32), params);
+    WinternitzSigner signer(rng.RandomBytes(32));
     state.ResumeTiming();
     benchmark::DoNotOptimize(*signer.Sign(msg));
   }
 }
-BENCHMARK(BM_WotsSign)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_WotsSign)->Arg(kWotsW);
 
+// The WOTS half of an MSS verification: recompute the implied public key.
 void BM_WotsVerify(benchmark::State& state) {
-  WotsParams params{.w = static_cast<int>(state.range(0))};
-  WinternitzSigner signer(util::ToBytes("wots-bench"), params);
+  WinternitzSigner signer(util::ToBytes("wots-bench"));
   Bytes msg = util::ToBytes("root digest");
   Bytes sig = *signer.Sign(msg);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        WinternitzSigner::VerifySignature(signer.public_key(), msg, sig, params));
+        WinternitzSigner::PublicKeyFromSignature(msg, sig));
   }
 }
-BENCHMARK(BM_WotsVerify)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_WotsVerify)->Arg(kWotsW);
 
 void BM_MssKeygen(benchmark::State& state) {
   const int height = static_cast<int>(state.range(0));
@@ -173,47 +170,6 @@ void BM_MssVerify(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MssVerify);
-
-// Protocol I's hot path: N independent MSS signatures verified in one
-// VerifyBatch call (chain walks pooled through the multi-buffer engine)
-// vs N sequential Verify calls. Same results, same audit choke point.
-void BM_VerifyBatch(benchmark::State& state) {
-  const size_t n = state.range(0);
-  const bool batched = state.range(1) == 1;
-  MerkleSigner signer(util::ToBytes("batch-bench"), /*height=*/8);
-  const Bytes pk = signer.public_key();
-  std::vector<Bytes> msgs, sigs;
-  msgs.reserve(n);
-  sigs.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    msgs.push_back(util::ToBytes("h(M(D) || " + std::to_string(i) + ")"));
-    sigs.push_back(*signer.Sign(msgs.back()));
-  }
-  std::vector<VerifyRequest> requests;
-  requests.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    requests.push_back({SchemeId::kMerkleSig, &pk, &msgs[i], &sigs[i]});
-  }
-  for (auto _ : state) {
-    if (batched) {
-      std::vector<Status> results = VerifyBatch(requests);
-      benchmark::DoNotOptimize(results);
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        Status s = Verify(SchemeId::kMerkleSig, pk, msgs[i], sigs[i]);
-        benchmark::DoNotOptimize(s);
-      }
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-  state.SetLabel(batched ? "VerifyBatch" : "serial");
-}
-BENCHMARK(BM_VerifyBatch)
-    ->Args({4, 0})
-    ->Args({4, 1})
-    ->Args({16, 0})
-    ->Args({16, 1})
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

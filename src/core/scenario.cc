@@ -90,7 +90,7 @@ Scenario::Scenario(ScenarioConfig config, workload::Workload workload)
       Bytes seed = crypto::Prf(util::ToBytes("tcvs-user-key"), u);
       auto signer = std::make_shared<crypto::MerkleSigner>(
           seed, config_.user_key_height);
-      auto cert = ca.Issue(u, crypto::SchemeId::kMerkleSig, signer->public_key());
+      auto cert = ca.Issue(u, signer->public_key());
       TCVS_CHECK_OK(cert.status());
       TCVS_CHECK_OK(keystore->Add(*cert));
       signers[u] = std::move(signer);

@@ -759,28 +759,24 @@ void ProtocolUser::HandleEpochReply(sim::RoundContext* ctx,
   const uint64_t e = reply.epoch;
   audit_inflight_epoch_.reset();
 
-  // Collect and authenticate one blob per user for epoch e. All owner
-  // signatures in the reply verify in ONE batched pass (the hash-chain
-  // walks share the multi-buffer engine); the endorsement stays per-blob —
+  // Collect and authenticate one blob per user for epoch e. Every owner
+  // signature in the reply is checked before the first failure is
+  // returned, so each bad blob is audited; the endorsement stays per-blob —
   // each SignatureVerified token corresponds to exactly one OK verdict.
   auto collect = [&](const std::vector<EpochStateBlob>& blobs, uint64_t epoch,
                      std::map<uint32_t, EpochStateBlob>* out) -> Status {
-    std::vector<Bytes> preimages;
-    preimages.reserve(blobs.size());
     for (const auto& blob : blobs) {
       if (blob.epoch != epoch) {
         return Status::VerificationFailure(
             "stored state carries wrong epoch tag");
       }
-      preimages.push_back(blob.Preimage());
     }
-    std::vector<crypto::KeyStore::SignatureClaim> claims;
-    claims.reserve(blobs.size());
-    for (size_t i = 0; i < blobs.size(); ++i) {
-      claims.push_back({blobs[i].user, &preimages[i], &blobs[i].signature});
+    std::vector<Status> verdicts;
+    verdicts.reserve(blobs.size());
+    for (const auto& blob : blobs) {
+      verdicts.push_back(options_.keystore->VerifyFrom(
+          blob.user, blob.Preimage(), blob.signature));
     }
-    const std::vector<Status> verdicts =
-        options_.keystore->VerifyFromBatch(claims);
     for (size_t i = 0; i < blobs.size(); ++i) {
       TCVS_RETURN_NOT_OK(verdicts[i]);
       // The owner's signature is the verification — the server is only a

@@ -9,7 +9,6 @@ Bytes Certificate::Preimage() const {
   util::Writer w;
   w.PutString("tcvs-cert-v1");
   w.PutU32(principal);
-  w.PutU8(static_cast<uint8_t>(scheme));
   w.PutBytes(public_key);
   return w.Take();
 }
@@ -18,19 +17,17 @@ CertificateAuthority::CertificateAuthority(const Bytes& seed, int height)
     : signer_(seed, height) {}
 
 Result<Certificate> CertificateAuthority::Issue(PrincipalId principal,
-                                                SchemeId scheme,
                                                 const Bytes& public_key) {
   Certificate cert;
   cert.principal = principal;
-  cert.scheme = scheme;
   cert.public_key = public_key;
   TCVS_ASSIGN_OR_RETURN(cert.ca_signature, signer_.Sign(cert.Preimage()));
   return cert;
 }
 
 Status KeyStore::Add(const Certificate& cert) {
-  TCVS_RETURN_NOT_OK(Verify(SchemeId::kMerkleSig, ca_public_key_,
-                            cert.Preimage(), cert.ca_signature));
+  TCVS_RETURN_NOT_OK(
+      Verify(ca_public_key_, cert.Preimage(), cert.ca_signature));
   auto it = certs_.find(cert.principal);
   if (it != certs_.end()) {
     if (it->second.public_key != cert.public_key) {
@@ -55,32 +52,7 @@ Result<Certificate> KeyStore::Get(PrincipalId principal) const {
 Status KeyStore::VerifyFrom(PrincipalId principal, const Bytes& message,
                             const Bytes& signature) const {
   TCVS_ASSIGN_OR_RETURN(Certificate cert, Get(principal));
-  return Verify(cert.scheme, cert.public_key, message, signature);
-}
-
-std::vector<Status> KeyStore::VerifyFromBatch(
-    const std::vector<SignatureClaim>& claims) const {
-  std::vector<Status> results(claims.size(), Status::OK());
-  std::vector<VerifyRequest> requests;
-  std::vector<size_t> claim_of_request;
-  requests.reserve(claims.size());
-  claim_of_request.reserve(claims.size());
-  for (size_t i = 0; i < claims.size(); ++i) {
-    auto it = certs_.find(claims[i].principal);
-    if (it == certs_.end()) {
-      results[i] = Status::NotFound("no certificate for principal " +
-                                    std::to_string(claims[i].principal));
-      continue;
-    }
-    requests.push_back(VerifyRequest{it->second.scheme, &it->second.public_key,
-                                     claims[i].message, claims[i].signature});
-    claim_of_request.push_back(i);
-  }
-  std::vector<Status> verified = VerifyBatch(requests);
-  for (size_t k = 0; k < verified.size(); ++k) {
-    results[claim_of_request[k]] = std::move(verified[k]);
-  }
-  return results;
+  return Verify(cert.public_key, message, signature);
 }
 
 }  // namespace crypto

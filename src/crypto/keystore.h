@@ -1,9 +1,6 @@
 #pragma once
 
 #include <map>
-#include <memory>
-#include <string>
-#include <vector>
 
 #include "crypto/merkle_sig.h"
 #include "crypto/signature.h"
@@ -27,8 +24,7 @@ using PrincipalId = uint32_t;
 /// the minimal equivalent).
 struct Certificate {
   PrincipalId principal = 0;
-  SchemeId scheme = SchemeId::kMerkleSig;
-  Bytes public_key;
+  Bytes public_key;  // MSS root.
   Bytes ca_signature;  // CA's signature over Preimage().
 
   /// Canonical byte string the CA signs.
@@ -44,8 +40,7 @@ class CertificateAuthority {
   explicit CertificateAuthority(const Bytes& seed, int height = 8);
 
   /// Issues a certificate for `principal` with the given key.
-  Result<Certificate> Issue(PrincipalId principal, SchemeId scheme,
-                            const Bytes& public_key);
+  Result<Certificate> Issue(PrincipalId principal, const Bytes& public_key);
 
   /// The CA's root verification key.
   const Bytes& public_key() const { return signer_.public_key(); }
@@ -75,22 +70,6 @@ class KeyStore {
   /// Success justifies endorsing the signed value with SignatureVerified.
   Status VerifyFrom(PrincipalId principal, const Bytes& message,
                     const Bytes& signature) const;
-
-  /// One claim of a VerifyFromBatch call: `signature` over `message`,
-  /// attributed to `principal`. Pointers are borrowed for the call only.
-  struct SignatureClaim {
-    PrincipalId principal = 0;
-    const Bytes* message = nullptr;
-    const Bytes* signature = nullptr;
-  };
-
-  /// Batched VerifyFrom: verifies every claim in one crypto::VerifyBatch
-  /// pass, amortizing the hash-chain walks across the whole batch. The
-  /// result vector lines up with `claims`; each OK entry justifies
-  /// endorsing THAT claim's value with SignatureVerified — exactly the
-  /// per-value guarantee VerifyFrom gives, batch or no batch.
-  std::vector<Status> VerifyFromBatch(
-      const std::vector<SignatureClaim>& claims) const;
 
   size_t size() const { return certs_.size(); }
 

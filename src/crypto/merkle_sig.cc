@@ -33,13 +33,13 @@ Bytes MerkleSigner::LeafSeed(uint64_t leaf) const {
   return Prf2(seed_, kMssDomain, leaf);
 }
 
-MerkleSigner::MerkleSigner(const Bytes& seed, int height, WotsParams params)
-    : seed_(seed), height_(height), params_(params) {
+MerkleSigner::MerkleSigner(const Bytes& seed, int height)
+    : seed_(seed), height_(height) {
   const uint64_t n_leaves = 1ULL << height_;
   levels_.resize(height_ + 1);
   levels_[0].reserve(n_leaves);
   for (uint64_t i = 0; i < n_leaves; ++i) {
-    WinternitzSigner wots(LeafSeed(i), params_);
+    WinternitzSigner wots(LeafSeed(i));
     levels_[0].push_back(LeafFromWotsPk(wots.public_key()));
   }
   for (int lvl = 1; lvl <= height_; ++lvl) {
@@ -59,11 +59,11 @@ Result<Bytes> MerkleSigner::Sign(const Bytes& message) {
                                       std::to_string(n_leaves) + " signatures");
   }
   const uint64_t leaf = next_leaf_++;
-  WinternitzSigner wots(LeafSeed(leaf), params_);
+  WinternitzSigner wots(LeafSeed(leaf));
   TCVS_ASSIGN_OR_RETURN(Bytes wots_sig, wots.Sign(message));
 
   util::Writer w;
-  w.PutU8(static_cast<uint8_t>(params_.w));
+  w.PutU8(kWotsW);
   w.PutU64(leaf);
   w.PutBytes(wots_sig);
   // Authentication path: sibling at every level.
@@ -76,60 +76,43 @@ Result<Bytes> MerkleSigner::Sign(const Bytes& message) {
   return w.Take();
 }
 
-Result<MerkleSigner::PreparedSignature> MerkleSigner::Prepare(
-    const Bytes& signature) {
+Status MerkleSigner::VerifySignature(const Bytes& public_key,
+                                     const Bytes& message, const Bytes& signature) {
   util::Reader r(signature);
-  TCVS_ASSIGN_OR_RETURN(uint8_t wparam, r.GetU8());
-  if (wparam != 1 && wparam != 2 && wparam != 4 && wparam != 8) {
+  TCVS_ASSIGN_OR_RETURN(uint8_t w, r.GetU8());
+  if (w != kWotsW) {
     return Status::InvalidArgument("unsupported Winternitz parameter in signature");
   }
-  PreparedSignature prepared;
-  prepared.params = WotsParams{.w = wparam};
-  TCVS_ASSIGN_OR_RETURN(prepared.leaf, r.GetU64());
-  TCVS_ASSIGN_OR_RETURN(prepared.wots_sig, r.GetBytes());
+  TCVS_ASSIGN_OR_RETURN(uint64_t leaf, r.GetU64());
+  TCVS_ASSIGN_OR_RETURN(Bytes wots_sig, r.GetBytes());
   // Remaining bytes are the auth path; length tells us the tree height.
   if (r.remaining() % kDigestSize != 0) {
     return Status::InvalidArgument("malformed MSS authentication path");
   }
-  prepared.height = r.remaining() / kDigestSize;
-  if (prepared.height > 63) {
+  const size_t height = r.remaining() / kDigestSize;
+  if (height > 63) {
     return Status::InvalidArgument("MSS tree height too large");
   }
-  if (prepared.leaf >= (1ULL << prepared.height)) {
+  if (leaf >= (1ULL << height)) {
     return Status::InvalidArgument("MSS leaf index out of range for tree height");
   }
-  TCVS_ASSIGN_OR_RETURN(prepared.auth_path,
-                        r.GetRaw(prepared.height * kDigestSize));
-  return prepared;
-}
-
-Status MerkleSigner::FinishVerify(const Bytes& public_key,
-                                  const PreparedSignature& prepared,
-                                  const Bytes& wots_pk) {
+  TCVS_ASSIGN_OR_RETURN(Bytes auth_path, r.GetRaw(height * kDigestSize));
+  TCVS_ASSIGN_OR_RETURN(
+      Bytes wots_pk, WinternitzSigner::PublicKeyFromSignature(message, wots_sig));
   if (public_key.size() != kDigestSize) {
     return Status::InvalidArgument("MSS public key must be 32 bytes");
   }
   Digest node = LeafFromWotsPk(wots_pk);
-  uint64_t idx = prepared.leaf;
-  for (size_t lvl = 0; lvl < prepared.height; ++lvl) {
-    Digest sibling(prepared.auth_path.begin() + lvl * kDigestSize,
-                   prepared.auth_path.begin() + (lvl + 1) * kDigestSize);
-    node = (idx & 1) ? InternalNode(sibling, node) : InternalNode(node, sibling);
-    idx >>= 1;
+  for (size_t lvl = 0; lvl < height; ++lvl) {
+    Digest sibling(auth_path.begin() + lvl * kDigestSize,
+                   auth_path.begin() + (lvl + 1) * kDigestSize);
+    node = (leaf & 1) ? InternalNode(sibling, node) : InternalNode(node, sibling);
+    leaf >>= 1;
   }
   if (!util::ConstantTimeEqual(node, public_key)) {
     return Status::VerificationFailure("MSS root mismatch");
   }
   return Status::OK();
-}
-
-Status MerkleSigner::VerifySignature(const Bytes& public_key,
-                                     const Bytes& message, const Bytes& signature) {
-  TCVS_ASSIGN_OR_RETURN(PreparedSignature prepared, Prepare(signature));
-  TCVS_ASSIGN_OR_RETURN(Bytes wots_pk,
-                        WinternitzSigner::PublicKeyFromSignature(
-                            message, prepared.wots_sig, prepared.params));
-  return FinishVerify(public_key, prepared, wots_pk);
 }
 
 }  // namespace crypto

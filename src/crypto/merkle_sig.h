@@ -2,7 +2,6 @@
 
 #include <vector>
 
-#include "crypto/signature.h"
 #include "crypto/winternitz.h"
 
 namespace tcvs {
@@ -18,56 +17,35 @@ namespace crypto {
 ///
 /// The signer is stateful: every Sign consumes the next leaf, and the key is
 /// exhausted after 2^height signatures (Sign then fails with
-/// FailedPrecondition). Each signature embeds the leaf index, the WOTS
-/// signature, and the authentication path, so verification needs only the
-/// 32-byte root.
-class MerkleSigner : public Signer {
+/// FailedPrecondition). Each signature embeds the Winternitz width (always
+/// 4), the leaf index, the WOTS signature, and the authentication path, so
+/// verification needs only the 32-byte root.
+class MerkleSigner {
  public:
   /// Deterministically generates all 2^height one-time keys from `seed` and
   /// builds the tree. Keygen cost is O(2^height) WOTS keygens.
-  MerkleSigner(const Bytes& seed, int height, WotsParams params = WotsParams{});
+  MerkleSigner(const Bytes& seed, int height);
 
-  Result<Bytes> Sign(const Bytes& message) override;
-  const Bytes& public_key() const override { return root_; }
-  SchemeId scheme() const override { return SchemeId::kMerkleSig; }
-  uint64_t remaining_signatures() const override {
+  /// Signs `message` with the next unused leaf.
+  Result<Bytes> Sign(const Bytes& message);
+  /// The 32-byte root, distributed through certificates.
+  const Bytes& public_key() const { return root_; }
+  uint64_t remaining_signatures() const {
     return (1ULL << height_) - next_leaf_;
   }
 
   int height() const { return height_; }
 
-  /// Verifies an MSS signature against the 32-byte root public key.
+  /// Verifies an MSS signature against the 32-byte root public key. Not
+  /// audited; the protocols call the audited crypto::Verify.
   static Status VerifySignature(const Bytes& public_key, const Bytes& message,
                                 const Bytes& signature);
-
-  /// \brief An MSS signature parsed for batched verification. The embedded
-  /// WOTS signature still needs its chain walk — the expensive half, which
-  /// crypto::VerifyBatch pools across many signatures — while the leaf
-  /// index and authentication path are ready for FinishVerify.
-  struct PreparedSignature {
-    WotsParams params;
-    uint64_t leaf = 0;
-    size_t height = 0;
-    Bytes wots_sig;
-    Bytes auth_path;  // `height` sibling digests, leaf level first.
-  };
-
-  /// Parses and shape-checks `signature` without hashing anything.
-  static Result<PreparedSignature> Prepare(const Bytes& signature);
-
-  /// Completes verification: folds `wots_pk` (the WOTS public key implied
-  /// by the chain walk over `prepared.wots_sig`) into the leaf, walks the
-  /// authentication path, and compares against the root `public_key`.
-  static Status FinishVerify(const Bytes& public_key,
-                             const PreparedSignature& prepared,
-                             const Bytes& wots_pk);
 
  private:
   Bytes LeafSeed(uint64_t leaf) const;
 
   Bytes seed_;
   int height_;
-  WotsParams params_;
   uint64_t next_leaf_ = 0;
   // levels_[0] = leaves (2^h digests), levels_[h] = {root}.
   std::vector<std::vector<Digest>> levels_;

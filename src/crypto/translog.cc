@@ -43,33 +43,30 @@ Digest TransparencyLog::LeafHash(const Bytes& entry) {
 
 uint64_t TransparencyLog::Append(const Bytes& entry) {
   AppendLeafHash(LeafHash(entry));
-  return leaves_.size() - 1;
+  return size() - 1;
 }
 
-TransparencyLog TransparencyLog::FromLeafHashes(std::vector<Digest> leaves) {
+TransparencyLog TransparencyLog::FromLeafHashes(
+    const std::vector<Digest>& leaves) {
   TransparencyLog log;
-  log.leaves_.reserve(leaves.size());
-  if (!leaves.empty()) log.nodes_.reserve((leaves.size() - 1) * kDigestSize);
-  for (Digest& leaf : leaves) log.AppendLeafHash(std::move(leaf));
+  if (!leaves.empty()) {
+    log.slots_.reserve((2 * leaves.size() - 1) * kDigestSize);
+  }
+  for (const Digest& leaf : leaves) log.AppendLeafHash(leaf);
   return log;
 }
 
-void TransparencyLog::AppendLeafHash(Digest leaf) {
-  leaves_.push_back(std::move(leaf));
-  const uint64_t end = leaves_.size();
-  if (end > 1) nodes_.resize((end - 1) * kDigestSize);
+void TransparencyLog::AppendLeafHash(const Digest& leaf) {
+  const uint64_t end = size() + 1;
+  slots_.resize((2 * end - 1) * kDigestSize);
+  std::memcpy(&slots_[2 * (end - 1) * kDigestSize], leaf.data(), kDigestSize);
   // The new leaf completes one subtree per trailing one bit of its index.
   for (uint64_t w = 2; end % w == 0; w *= 2) {
     const uint64_t lo = end - w, half = w / 2;
     const Digest node = HashChildren(Node(lo, half), Node(lo + half, half));
-    std::memcpy(&nodes_[(lo + half - 1) * kDigestSize], node.data(),
+    std::memcpy(&slots_[(2 * lo + w - 1) * kDigestSize], node.data(),
                 kDigestSize);
   }
-}
-
-const uint8_t* TransparencyLog::Node(uint64_t lo, uint64_t width) const {
-  if (width == 1) return leaves_[lo].data();
-  return &nodes_[(lo + width / 2 - 1) * kDigestSize];
 }
 
 // Every range the RFC 6962 recursion reaches from [0, n) starts at a multiple
@@ -86,10 +83,10 @@ Digest TransparencyLog::SubtreeRoot(uint64_t lo, uint64_t hi) const {
   return HashChildren(SubtreeRoot(lo, lo + k), SubtreeRoot(lo + k, hi));
 }
 
-Digest TransparencyLog::Root() const { return SubtreeRoot(0, leaves_.size()); }
+Digest TransparencyLog::Root() const { return SubtreeRoot(0, size()); }
 
 Result<Digest> TransparencyLog::RootAt(uint64_t n) const {
-  if (n > leaves_.size()) return Status::InvalidArgument("RootAt past log size");
+  if (n > size()) return Status::InvalidArgument("RootAt past log size");
   return SubtreeRoot(0, n);
 }
 
@@ -109,7 +106,7 @@ void TransparencyLog::SubtreeInclusion(uint64_t index, uint64_t lo, uint64_t hi,
 
 Result<std::vector<Digest>> TransparencyLog::InclusionProof(uint64_t index,
                                                             uint64_t n) const {
-  if (n > leaves_.size()) return Status::InvalidArgument("proof past log size");
+  if (n > size()) return Status::InvalidArgument("proof past log size");
   if (index >= n) return Status::InvalidArgument("index outside the log");
   std::vector<Digest> proof;
   SubtreeInclusion(index, 0, n, &proof);
@@ -136,7 +133,7 @@ void TransparencyLog::SubtreeConsistency(uint64_t m, uint64_t lo, uint64_t hi,
 
 Result<std::vector<Digest>> TransparencyLog::ConsistencyProof(uint64_t m,
                                                               uint64_t n) const {
-  if (n > leaves_.size()) return Status::InvalidArgument("proof past log size");
+  if (n > size()) return Status::InvalidArgument("proof past log size");
   if (m > n) return Status::InvalidArgument("old size exceeds new size");
   std::vector<Digest> proof;
   if (m == 0 || m == n) return proof;  // Trivial cases need no proof.

@@ -41,7 +41,7 @@ class TransparencyLog {
   /// Appends an entry; returns its index.
   uint64_t Append(const Bytes& entry);
 
-  uint64_t size() const { return leaves_.size(); }
+  uint64_t size() const { return (slots_.size() / kDigestSize + 1) / 2; }
 
   /// Root over the current log (Merkle Tree Hash of all entries).
   Digest Root() const;
@@ -76,32 +76,35 @@ class TransparencyLog {
   /// Leaf hash H(0x00 ‖ entry), exposed for tests.
   static Digest LeafHash(const Bytes& entry);
 
-  /// Raw leaf hashes (for persistence).
-  const std::vector<Digest>& leaf_hashes() const { return leaves_; }
+  /// Leaf hash of entry `index` < size() (for persistence).
+  Digest leaf_hash(uint64_t index) const {
+    const uint8_t* leaf = Node(index, 1);
+    return Digest(leaf, leaf + kDigestSize);
+  }
 
   /// Reconstructs a log (and its node cache, in O(n)) from persisted leaf
   /// hashes of kDigestSize bytes each.
-  static TransparencyLog FromLeafHashes(std::vector<Digest> leaves);
+  static TransparencyLog FromLeafHashes(const std::vector<Digest>& leaves);
 
  private:
-  void AppendLeafHash(Digest leaf);
+  void AppendLeafHash(const Digest& leaf);
   /// Root of the complete subtree over entries [lo, lo + width) (the leaf
   /// hash when width is 1), where width is a power of two dividing lo and
   /// lo + width ≤ size().
-  const uint8_t* Node(uint64_t lo, uint64_t width) const;
+  const uint8_t* Node(uint64_t lo, uint64_t width) const {
+    return &slots_[(2 * lo + width - 1) * kDigestSize];
+  }
   Digest SubtreeRoot(uint64_t lo, uint64_t hi) const;  // Entries [lo, hi).
   void SubtreeInclusion(uint64_t index, uint64_t lo, uint64_t hi,
                         std::vector<Digest>* proof) const;
   void SubtreeConsistency(uint64_t m, uint64_t lo, uint64_t hi, bool lo_is_old,
                           std::vector<Digest>* proof) const;
 
-  std::vector<Digest> leaves_;  // Leaf hashes.
-  // Node cache: kDigestSize-byte slots in the tree's in-order layout, where
-  // leaf i sits at position 2i and the subtree [lo, lo + w) at 2lo + w - 1.
-  // The even positions are leaves_, so slot p holds position 2p + 1, i.e.
-  // subtree [lo, lo + w) lives in slot lo + w/2 - 1. A log of n ≥ 1 entries
-  // has n - 1 slots; each is written once, when its subtree completes.
-  std::vector<uint8_t> nodes_;
+  // Leaf hashes and the node cache: kDigestSize-byte slots in the tree's
+  // in-order layout, where leaf i sits in slot 2i and the subtree
+  // [lo, lo + w) in slot 2lo + w - 1. A log of n ≥ 1 entries has 2n - 1
+  // slots; each inner slot is written once, when its subtree completes.
+  std::vector<uint8_t> slots_;
 };
 
 }  // namespace crypto

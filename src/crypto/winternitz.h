@@ -1,90 +1,63 @@
 #pragma once
 
-#include "crypto/signature.h"
+#include <cstdint>
+#include <vector>
+
+#include "crypto/sha256.h"
+#include "util/bytes.h"
+#include "util/result.h"
 
 namespace tcvs {
 namespace crypto {
 
-/// \brief Parameters of a Winternitz one-time signature.
-///
-/// `w` is the number of message bits consumed per hash chain; larger w means
-/// shorter signatures but longer chains (2^w − 1 hash steps). Supported
-/// values: 1, 2, 4, 8.
-struct WotsParams {
-  int w = 4;
-
-  /// Chains covering the 256-bit message digest.
-  size_t message_chains() const { return (256 + w - 1) / w; }
-  /// Maximum chunk value = chain length.
-  uint32_t chain_len() const { return (1u << w) - 1; }
-  /// Chains covering the checksum.
-  size_t checksum_chains() const;
-  size_t total_chains() const { return message_chains() + checksum_chains(); }
-};
+/// \name The one Winternitz parameter set.
+/// Each chain consumes w = 4 bits of the message digest and is 2^w − 1 = 15
+/// hash steps long: 64 message chains, plus 3 checksum chains for the
+/// largest checksum 64 · 15 = 960 < 16³. A signature is 67 digests.
+/// @{
+inline constexpr int kWotsW = 4;
+inline constexpr uint32_t kWotsChainLen = (1u << kWotsW) - 1;
+inline constexpr size_t kWotsMessageChains = 256 / kWotsW;
+inline constexpr size_t kWotsChecksumChains = 3;
+inline constexpr size_t kWotsChains = kWotsMessageChains + kWotsChecksumChains;
+static_assert(kWotsMessageChains * kWotsChainLen <
+              (1u << (kWotsW * kWotsChecksumChains)));
+/// @}
 
 /// \brief Advances chains[i] by steps[i] hash applications: chains[i] ←
 /// cᵏ(chains[i]) with k = steps[i]. The chains are independent, so instead
 /// of walking them one at a time, every still-active chain takes one step
 /// per round through the multi-buffer SHA-256 engine (HashManyInto) — the
-/// amortization behind both WOTS keygen and batched verification. The
-/// result is bit-identical to the sequential walk.
+/// amortization behind WOTS keygen, signing and verification. The result is
+/// bit-identical to the sequential walk.
 void AdvanceChains(std::vector<Digest>* chains, std::vector<uint32_t> steps);
 
-/// \brief A WOTS signature unpacked into its hash chains: `chains[i]` holds
-/// the signature's i-th chain value and `steps[i]` how many applications
-/// remain to reach the chain end. After AdvanceChains the folded ends imply
-/// the public key. Produced by WinternitzSigner::WalkFromSignature so the
-/// batched verifier (crypto::VerifyBatch) can pool chains across many
-/// signatures before walking any of them.
-struct WotsChainWalk {
-  std::vector<Digest> chains;
-  std::vector<uint32_t> steps;
-};
-
-/// \brief Winternitz one-time signatures (WOTS) with a *compressed* 32-byte
-/// public key: pk = H(end₀ ‖ end₁ ‖ … ‖ end_{L−1}).
+/// \brief A Winternitz one-time key (WOTS) with a *compressed* 32-byte
+/// public key: pk = H(end₀ ‖ end₁ ‖ … ‖ end₆₆).
 ///
-/// The compressed key is what makes WOTS the right leaf primitive for the
-/// Merkle signature scheme (merkle_sig.h).
-class WinternitzSigner : public Signer {
+/// It is the leaf key of the Merkle signature scheme (merkle_sig.h), which
+/// checks a WOTS signature by recomputing the public key it implies and
+/// walking that key up the Merkle tree.
+class WinternitzSigner {
  public:
-  WinternitzSigner(const Bytes& seed, WotsParams params = WotsParams{});
+  explicit WinternitzSigner(const Bytes& seed);
 
-  Result<Bytes> Sign(const Bytes& message) override;
-  const Bytes& public_key() const override { return public_key_; }
-  SchemeId scheme() const override { return SchemeId::kWinternitz; }
-  uint64_t remaining_signatures() const override { return used_ ? 0 : 1; }
-
-  const WotsParams& params() const { return params_; }
+  /// Signs `message` (hashed internally). A one-time key: a second call
+  /// fails with FailedPrecondition.
+  Result<Bytes> Sign(const Bytes& message);
+  const Bytes& public_key() const { return public_key_; }
 
   /// Recomputes the compressed public key implied by `signature` on
-  /// `message`. The caller compares it against a trusted key (directly or
-  /// through a Merkle authentication path).
+  /// `message`. The caller compares it against a trusted key through a
+  /// Merkle authentication path.
   static Result<Bytes> PublicKeyFromSignature(const Bytes& message,
-                                              const Bytes& signature,
-                                              WotsParams params = WotsParams{});
+                                              const Bytes& signature);
 
-  /// Unpacks `signature` on `message` into its chain walk (no hashing of
-  /// the chains yet — the caller runs AdvanceChains, possibly pooled with
-  /// other signatures' chains, then folds with FoldPublicKey).
-  static Result<WotsChainWalk> WalkFromSignature(const Bytes& message,
-                                                 const Bytes& signature,
-                                                 WotsParams params = WotsParams{});
-
-  /// Compresses chain ends into the 32-byte public key: H(end₀ ‖ … ‖ endₙ).
-  static Bytes FoldPublicKey(const Digest* ends, size_t n);
-
-  /// Verifies against an explicit public key; see crypto::Verify.
-  static Status VerifySignature(const Bytes& public_key, const Bytes& message,
-                                const Bytes& signature,
-                                WotsParams params = WotsParams{});
-
-  /// Splits H(message) into base-2^w chunks followed by checksum chunks.
+  /// Splits H(message) into base-16 chunks followed by checksum chunks.
   /// Exposed for tests.
-  static std::vector<uint32_t> Chunks(const Digest& md, const WotsParams& params);
+  static std::vector<uint32_t> Chunks(const Digest& md);
 
  private:
-  WotsParams params_;
   Bytes seed_;
   Bytes public_key_;  // 32 bytes, compressed.
   bool used_ = false;

@@ -153,9 +153,9 @@ UntrustedServer::UntrustedServer(mtree::TreeParams params) : branch_(params) {}
 
 UntrustedServer::UntrustedServer(mtree::MerkleBTree tree, uint64_t ctr,
                                  uint32_t creator,
-                                 std::vector<crypto::Digest> log_leaves)
+                                 const std::vector<crypto::Digest>& log_leaves)
     : branch_(std::move(tree), ctr, creator),
-      log_(crypto::TransparencyLog::FromLeafHashes(std::move(log_leaves))) {}
+      log_(crypto::TransparencyLog::FromLeafHashes(log_leaves)) {}
 
 void UntrustedServer::AppendLogEntry() {
   log_.Append(LogEntry(branch_.ctr, branch_.tree.root_digest()));

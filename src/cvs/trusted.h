@@ -158,7 +158,7 @@ class UntrustedServer : public ServerApi {
   /// Restore constructor (server restart from a snapshot): adopt an existing
   /// tree, the protocol counters, and the transparency-log leaves.
   UntrustedServer(mtree::MerkleBTree tree, uint64_t ctr, uint32_t creator,
-                  std::vector<crypto::Digest> log_leaves = {});
+                  const std::vector<crypto::Digest>& log_leaves = {});
 
   Result<util::Tainted<ServerReply>> Transact(
       uint32_t user, const std::vector<FileOp>& ops) override;
@@ -174,10 +174,8 @@ class UntrustedServer : public ServerApi {
   uint32_t creator() const { return branch_.creator; }
   const mtree::MerkleBTree& tree() const { return branch_.tree; }
 
-  /// Transparency-log leaf hashes (for persistence).
-  const std::vector<crypto::Digest>& log_leaf_hashes() const {
-    return log_.leaf_hashes();
-  }
+  /// The transparency log (for persistence).
+  const crypto::TransparencyLog& log() const { return log_; }
 
   /// Test/attack hook: mutate the underlying tree out-of-band (a tampering
   /// vendor). Honest deployments never call this.
@@ -186,9 +184,12 @@ class UntrustedServer : public ServerApi {
   /// Test/attack hook: rewrite a transparency-log leaf (a history-rewriting
   /// vendor).
   void rewrite_log_leaf_for_testing(uint64_t index, const Bytes& entry) {
-    auto leaves = log_.leaf_hashes();
+    std::vector<crypto::Digest> leaves;
+    for (uint64_t i = 0; i < log_.size(); ++i) {
+      leaves.push_back(log_.leaf_hash(i));
+    }
     leaves[index] = crypto::TransparencyLog::LeafHash(entry);
-    log_ = crypto::TransparencyLog::FromLeafHashes(std::move(leaves));
+    log_ = crypto::TransparencyLog::FromLeafHashes(leaves);
   }
 
  private:

@@ -119,7 +119,6 @@ util::LatencyHistogram* ServeMethodLatency(RpcType type) {
 struct MethodCostCounters {
   util::Counter* hashes;
   util::Counter* bytes_hashed;
-  util::Counter* sig_verifies;
   util::Counter* vo_bytes;
   util::Counter* wal_appends;
   util::Counter* wal_fsync_wait_us;
@@ -132,7 +131,6 @@ struct MethodCostCounters {
   void Add(const util::CostCounters& cost, uint64_t derived_work_us) const {
     if (cost.hashes != 0) hashes->Increment(cost.hashes);
     if (cost.bytes_hashed != 0) bytes_hashed->Increment(cost.bytes_hashed);
-    if (cost.sig_verifies != 0) sig_verifies->Increment(cost.sig_verifies);
     if (cost.vo_bytes_built != 0) vo_bytes->Increment(cost.vo_bytes_built);
     if (cost.wal_appends != 0) wal_appends->Increment(cost.wal_appends);
     if (cost.wal_fsync_wait_us != 0) {
@@ -148,7 +146,6 @@ const MethodCostCounters* ServeMethodCost(RpcType type) {
   static const MethodCostCounters kTransact = {
       registry.GetCounter("rpc.serve.transact.cost.hashes_total"),
       registry.GetCounter("rpc.serve.transact.cost.bytes_hashed_total"),
-      registry.GetCounter("rpc.serve.transact.cost.sig_verifies_total"),
       registry.GetCounter("rpc.serve.transact.cost.vo_bytes_total"),
       registry.GetCounter("rpc.serve.transact.cost.wal_appends_total"),
       registry.GetCounter("rpc.serve.transact.cost.wal_fsync_wait_us_total"),
@@ -158,7 +155,6 @@ const MethodCostCounters* ServeMethodCost(RpcType type) {
   static const MethodCostCounters kList = {
       registry.GetCounter("rpc.serve.list.cost.hashes_total"),
       registry.GetCounter("rpc.serve.list.cost.bytes_hashed_total"),
-      registry.GetCounter("rpc.serve.list.cost.sig_verifies_total"),
       registry.GetCounter("rpc.serve.list.cost.vo_bytes_total"),
       registry.GetCounter("rpc.serve.list.cost.wal_appends_total"),
       registry.GetCounter("rpc.serve.list.cost.wal_fsync_wait_us_total"),
@@ -168,7 +164,6 @@ const MethodCostCounters* ServeMethodCost(RpcType type) {
   static const MethodCostCounters kLogCheckpoint = {
       registry.GetCounter("rpc.serve.log_checkpoint.cost.hashes_total"),
       registry.GetCounter("rpc.serve.log_checkpoint.cost.bytes_hashed_total"),
-      registry.GetCounter("rpc.serve.log_checkpoint.cost.sig_verifies_total"),
       registry.GetCounter("rpc.serve.log_checkpoint.cost.vo_bytes_total"),
       registry.GetCounter("rpc.serve.log_checkpoint.cost.wal_appends_total"),
       registry.GetCounter(

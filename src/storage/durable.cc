@@ -68,9 +68,9 @@ Bytes EncodeSnapshot(const cvs::UntrustedServer& server) {
   w.PutU64(server.ctr());
   w.PutU32(server.creator());
   w.PutBytes(server.tree().Serialize());
-  const auto& leaves = server.log_leaf_hashes();
-  w.PutU64(leaves.size());
-  for (const auto& leaf : leaves) w.PutRaw(leaf);
+  const crypto::TransparencyLog& log = server.log();
+  w.PutU64(log.size());
+  for (uint64_t i = 0; i < log.size(); ++i) w.PutRaw(log.leaf_hash(i));
   return w.Take();
 }
 
@@ -99,7 +99,7 @@ Result<std::unique_ptr<DurableServer>> DurableServer::Open(
       leaves.push_back(std::move(leaf));
     }
     server = std::make_unique<cvs::UntrustedServer>(std::move(tree), ctr,
-                                                    creator, std::move(leaves));
+                                                    creator, leaves);
   } else if (snapshot_or.status().IsNotFound()) {
     server = std::make_unique<cvs::UntrustedServer>(params);
   } else {

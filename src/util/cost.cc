@@ -68,8 +68,6 @@ std::string SlowOpRecord::JsonFormat() const {
   AppendU64(&out, cost.hashes);
   out += ",\"bytes_hashed\":";
   AppendU64(&out, cost.bytes_hashed);
-  out += ",\"sig_verifies\":";
-  AppendU64(&out, cost.sig_verifies);
   out += ",\"vo_bytes_built\":";
   AppendU64(&out, cost.vo_bytes_built);
   out += ",\"wal_appends\":";

@@ -14,8 +14,8 @@ namespace util {
 /// measured live on served traffic instead of in a bench.
 ///
 /// A CostScope installed on a thread makes that thread's instrumented
-/// subsystems — SHA-256 compression, signature verification, VO
-/// serialization, WAL staging and fsync waits — accumulate into its
+/// subsystems — SHA-256 compression, VO serialization, WAL staging and
+/// fsync waits — accumulate into its
 /// CostCounters for the scope's lifetime. The serve loop arms one scope per
 /// request, aggregates the vector into per-method `rpc.serve.<m>.cost.*`
 /// counters (surfaced by `/varz` and `tcvs top`), and attaches it to
@@ -31,8 +31,6 @@ struct CostCounters {
   uint64_t hashes = 0;
   /// Bytes through the SHA-256 compression function (message + padding).
   uint64_t bytes_hashed = 0;
-  /// Signature verifications (batch entries count individually).
-  uint64_t sig_verifies = 0;
   /// Bytes of Merkle verification objects serialized for the reply.
   uint64_t vo_bytes_built = 0;
   /// WAL records staged.
@@ -49,7 +47,6 @@ struct CostCounters {
   void Add(const CostCounters& other) {
     hashes += other.hashes;
     bytes_hashed += other.bytes_hashed;
-    sig_verifies += other.sig_verifies;
     vo_bytes_built += other.vo_bytes_built;
     wal_appends += other.wal_appends;
     wal_fsync_wait_us += other.wal_fsync_wait_us;
@@ -58,7 +55,6 @@ struct CostCounters {
 
   bool operator==(const CostCounters& other) const {
     return hashes == other.hashes && bytes_hashed == other.bytes_hashed &&
-           sig_verifies == other.sig_verifies &&
            vo_bytes_built == other.vo_bytes_built &&
            wal_appends == other.wal_appends &&
            wal_fsync_wait_us == other.wal_fsync_wait_us &&

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "crypto/hmac.h"
 #include "crypto/keystore.h"
 #include "crypto/merkle_sig.h"
 #include "crypto/sha256.h"
 #include "crypto/signature.h"
 #include "crypto/winternitz.h"
+#include "util/audit.h"
 #include "util/bytes.h"
 #include "util/random.h"
 
@@ -220,66 +225,63 @@ TEST(PrfTest, DistinctIndicesDistinctOutputs) {
 // Winternitz one-time signatures
 // ---------------------------------------------------------------------------
 
+// The one parameter set, w = 4; the suite keeps its per-w test names.
 class WinternitzParamTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(WinternitzParamTest, SignVerifyRoundTrip) {
-  WotsParams params{.w = GetParam()};
-  WinternitzSigner signer(util::ToBytes("wots-seed"), params);
+  WinternitzSigner signer(util::ToBytes("wots-seed"));
   Bytes msg = util::ToBytes("checkout src/main.c");
   auto sig = signer.Sign(msg);
   ASSERT_TRUE(sig.ok());
-  EXPECT_TRUE(WinternitzSigner::VerifySignature(signer.public_key(), msg, *sig,
-                                                params)
-                  .ok());
+  EXPECT_EQ(*WinternitzSigner::PublicKeyFromSignature(msg, *sig),
+            signer.public_key());
 }
 
 TEST_P(WinternitzParamTest, WrongMessageFails) {
-  WotsParams params{.w = GetParam()};
-  WinternitzSigner signer(util::ToBytes("wots-seed-2"), params);
-  Bytes msg = util::ToBytes("honest");
-  auto sig = signer.Sign(msg);
-  ASSERT_TRUE(sig.ok());
-  EXPECT_TRUE(WinternitzSigner::VerifySignature(signer.public_key(),
-                                                util::ToBytes("evil"), *sig, params)
-                  .IsVerificationFailure());
+  WinternitzSigner signer(util::ToBytes("wots-seed-2"));
+  Bytes sig = *signer.Sign(util::ToBytes("honest"));
+  EXPECT_NE(
+      *WinternitzSigner::PublicKeyFromSignature(util::ToBytes("evil"), sig),
+      signer.public_key());
 }
 
 TEST_P(WinternitzParamTest, TamperedSignatureFails) {
-  WotsParams params{.w = GetParam()};
-  WinternitzSigner signer(util::ToBytes("wots-seed-3"), params);
+  WinternitzSigner signer(util::ToBytes("wots-seed-3"));
   Bytes msg = util::ToBytes("m");
   Bytes sig = *signer.Sign(msg);
   sig[5] ^= 0xff;
-  EXPECT_TRUE(
-      WinternitzSigner::VerifySignature(signer.public_key(), msg, sig, params)
-          .IsVerificationFailure());
+  EXPECT_NE(*WinternitzSigner::PublicKeyFromSignature(msg, sig),
+            signer.public_key());
+  sig.pop_back();
+  EXPECT_TRUE(WinternitzSigner::PublicKeyFromSignature(msg, sig)
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST_P(WinternitzParamTest, SignatureSizeMatchesParams) {
-  WotsParams params{.w = GetParam()};
-  WinternitzSigner signer(util::ToBytes("wots-seed-4"), params);
+  ASSERT_EQ(GetParam(), kWotsW);
+  WinternitzSigner signer(util::ToBytes("wots-seed-4"));
   Bytes sig = *signer.Sign(util::ToBytes("m"));
-  EXPECT_EQ(sig.size(), params.total_chains() * kDigestSize);
+  EXPECT_EQ(sig.size(), 67 * kDigestSize);
   // Compressed public key is always one digest.
   EXPECT_EQ(signer.public_key().size(), kDigestSize);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllW, WinternitzParamTest, ::testing::Values(1, 2, 4, 8));
+INSTANTIATE_TEST_SUITE_P(AllW, WinternitzParamTest, ::testing::Values(kWotsW));
 
 TEST(WinternitzTest, ChunksChecksumInvariant) {
   // The checksum construction guarantees: increasing any message chunk
   // strictly decreases the checksum, preventing forgery-by-advancing-chains.
-  WotsParams params{.w = 4};
   Digest md = Sha256::Hash("x");
-  auto chunks = WinternitzSigner::Chunks(md, params);
-  EXPECT_EQ(chunks.size(), params.total_chains());
+  auto chunks = WinternitzSigner::Chunks(md);
+  EXPECT_EQ(chunks.size(), kWotsChains);
   uint64_t checksum = 0;
-  for (size_t i = 0; i < params.message_chains(); ++i) {
-    checksum += params.chain_len() - chunks[i];
+  for (size_t i = 0; i < kWotsMessageChains; ++i) {
+    checksum += kWotsChainLen - chunks[i];
   }
   uint64_t encoded = 0;
-  for (size_t i = 0; i < params.checksum_chains(); ++i) {
-    encoded |= uint64_t(chunks[params.message_chains() + i]) << (4 * i);
+  for (size_t i = 0; i < kWotsChecksumChains; ++i) {
+    encoded |= uint64_t(chunks[kWotsMessageChains + i]) << (4 * i);
   }
   EXPECT_EQ(checksum, encoded);
 }
@@ -288,6 +290,24 @@ TEST(WinternitzTest, SecondSignRefused) {
   WinternitzSigner signer(util::ToBytes("wots-seed-5"));
   ASSERT_TRUE(signer.Sign(util::ToBytes("one")).ok());
   EXPECT_TRUE(signer.Sign(util::ToBytes("two")).status().IsFailedPrecondition());
+}
+
+TEST(WinternitzTest, AdvanceChainsMatchesSequentialWalk) {
+  util::Rng rng(7);
+  std::vector<Digest> chains;
+  std::vector<uint32_t> steps;
+  for (int i = 0; i < 23; ++i) {
+    chains.push_back(rng.RandomBytes(kDigestSize));
+    steps.push_back(static_cast<uint32_t>(rng.Uniform(18)));  // incl. 0
+  }
+  std::vector<Digest> expected = chains;
+  for (size_t i = 0; i < expected.size(); ++i) {
+    for (uint32_t s = 0; s < steps[i]; ++s) {
+      expected[i] = Sha256::Hash(expected[i]);
+    }
+  }
+  AdvanceChains(&chains, steps);
+  EXPECT_EQ(chains, expected);
 }
 
 // ---------------------------------------------------------------------------
@@ -353,110 +373,59 @@ TEST(MerkleSigTest, MalformedSignatureRejected) {
       MerkleSigner::VerifySignature(bad_pk, msg, sig).IsInvalidArgument());
 }
 
-TEST(MerkleSigTest, GenericVerifyDispatch) {
-  MerkleSigner signer(util::ToBytes("mss-seed-7"), 2);
-  Bytes msg = util::ToBytes("dispatch");
-  Bytes sig = *signer.Sign(msg);
-  EXPECT_TRUE(Verify(SchemeId::kMerkleSig, signer.public_key(), msg, sig).ok());
-  EXPECT_FALSE(
-      Verify(SchemeId::kWinternitz, signer.public_key(), msg, sig).ok());
+TEST(MerkleSigTest, SignatureBytesArePinned) {
+  // A height-3 key from a fixed seed: the first signature over a fixed
+  // message, layout w byte ‖ leaf ‖ WOTS signature ‖ authentication path.
+  MerkleSigner signer(util::ToBytes("mss-pin-seed"), 3);
+  Bytes sig = *signer.Sign(util::ToBytes("h(M(D) || ctr)"));
+  EXPECT_EQ(sig.size(), 1 + 8 + 4 + 67 * kDigestSize + 3 * kDigestSize);
+  EXPECT_EQ(sig[0], kWotsW);
+  EXPECT_EQ(HexOf(Sha256::Hash(sig)),
+            "2e2b94d987ff320119a2aed96d5d8b116318043068395fac872f3b14804914d0");
 }
 
-TEST(SignatureDispatchTest, RetiredSchemeByteIsInvalidArgument) {
-  // Scheme byte 1 (the deleted Lamport scheme) names no verifier.
-  MerkleSigner signer(util::ToBytes("mss-seed-retired"), 2);
-  Bytes msg = util::ToBytes("retired");
+TEST(MerkleSigTest, WidthByteOtherThanFourIsInvalidArgument) {
+  MerkleSigner signer(util::ToBytes("mss-seed-w"), 2);
+  Bytes msg = util::ToBytes("w");
   Bytes sig = *signer.Sign(msg);
-  const SchemeId retired = static_cast<SchemeId>(1);
-  EXPECT_TRUE(
-      Verify(retired, signer.public_key(), msg, sig).IsInvalidArgument());
-  std::vector<Status> batch =
-      VerifyBatch({{retired, &signer.public_key(), &msg, &sig}});
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_TRUE(batch[0].IsInvalidArgument()) << batch[0].ToString();
-}
-
-// ---------------------------------------------------------------------------
-// Batched verification
-// ---------------------------------------------------------------------------
-
-TEST(VerifyBatchTest, AdvanceChainsMatchesSequentialWalk) {
-  util::Rng rng(7);
-  std::vector<Digest> chains;
-  std::vector<uint32_t> steps;
-  for (int i = 0; i < 23; ++i) {
-    chains.push_back(rng.RandomBytes(kDigestSize));
-    steps.push_back(static_cast<uint32_t>(rng.Uniform(18)));  // incl. 0
+  ASSERT_TRUE(Verify(signer.public_key(), msg, sig).ok());
+  for (uint8_t w : {0, 1, 2, 8, 255}) {
+    sig[0] = w;
+    EXPECT_TRUE(Verify(signer.public_key(), msg, sig).IsInvalidArgument())
+        << int(w);
   }
-  std::vector<Digest> expected = chains;
-  for (size_t i = 0; i < expected.size(); ++i) {
-    for (uint32_t s = 0; s < steps[i]; ++s) {
-      expected[i] = Sha256::Hash(expected[i]);
+}
+
+// The signature_verify_failure audit events emitted while `fn` runs.
+std::vector<util::AuditEvent> SignatureFailuresDuring(
+    const std::function<void()>& fn) {
+  const std::vector<util::AuditEvent> before =
+      util::AuditLog::Instance().Snapshot();
+  fn();
+  std::vector<util::AuditEvent> out;
+  for (util::AuditEvent& e : util::AuditLog::Instance().SnapshotSince(
+           before.empty() ? 0 : before.back().seq)) {
+    if (e.kind == util::AuditEventKind::kSignatureVerifyFailure) {
+      out.push_back(std::move(e));
     }
   }
-  AdvanceChains(&chains, steps);
-  EXPECT_EQ(chains, expected);
+  return out;
 }
 
-TEST(VerifyBatchTest, MatchesSequentialVerifyAcrossSchemes) {
-  MerkleSigner mss(util::ToBytes("batch-mss-seed"), 3);
-  WinternitzSigner wots(util::ToBytes("batch-wots-seed"));
-
-  std::vector<Bytes> messages, signatures, keys;
-  std::vector<SchemeId> schemes;
-  for (int i = 0; i < 4; ++i) {
-    messages.push_back(util::ToBytes("mss message " + std::to_string(i)));
-    signatures.push_back(*mss.Sign(messages.back()));
-    keys.push_back(mss.public_key());
-    schemes.push_back(SchemeId::kMerkleSig);
-  }
-  messages.push_back(util::ToBytes("wots message"));
-  signatures.push_back(*wots.Sign(messages.back()));
-  keys.push_back(wots.public_key());
-  schemes.push_back(SchemeId::kWinternitz);
-
-  std::vector<VerifyRequest> requests;
-  for (size_t i = 0; i < messages.size(); ++i) {
-    requests.push_back({schemes[i], &keys[i], &messages[i], &signatures[i]});
-  }
-  std::vector<Status> results = VerifyBatch(requests);
-  ASSERT_EQ(results.size(), requests.size());
-  for (size_t i = 0; i < results.size(); ++i) {
-    EXPECT_TRUE(results[i].ok()) << i << ": " << results[i].ToString();
-    EXPECT_TRUE(Verify(schemes[i], keys[i], messages[i], signatures[i]).ok())
-        << i;
-  }
-}
-
-TEST(VerifyBatchTest, InvalidItemsFailIndividually) {
-  MerkleSigner mss(util::ToBytes("batch-bad-seed"), 3);
-  Bytes good_msg = util::ToBytes("good");
-  Bytes good_sig = *mss.Sign(good_msg);
-  Bytes wrong_msg = util::ToBytes("evil");
-  Bytes tampered_sig = *mss.Sign(good_msg);
-  tampered_sig[tampered_sig.size() - 1] ^= 0x80;
-  Bytes truncated_sig(good_sig.begin(), good_sig.begin() + 8);
-  const Bytes& pk = mss.public_key();
-
-  std::vector<VerifyRequest> requests = {
-      {SchemeId::kMerkleSig, &pk, &good_msg, &good_sig},
-      {SchemeId::kMerkleSig, &pk, &wrong_msg, &good_sig},
-      {SchemeId::kMerkleSig, &pk, &good_msg, &tampered_sig},
-      {SchemeId::kMerkleSig, &pk, &good_msg, &truncated_sig},
-  };
-  std::vector<Status> results = VerifyBatch(requests);
-  ASSERT_EQ(results.size(), 4u);
-  EXPECT_TRUE(results[0].ok()) << results[0].ToString();
-  EXPECT_TRUE(results[1].IsVerificationFailure());
-  EXPECT_TRUE(results[2].IsVerificationFailure());
-  EXPECT_FALSE(results[3].ok());
-  // A bad neighbor never contaminates a good item: re-verify the good one
-  // alone and batched, same verdict.
-  EXPECT_TRUE(Verify(SchemeId::kMerkleSig, pk, good_msg, good_sig).ok());
-}
-
-TEST(VerifyBatchTest, EmptyBatchIsFine) {
-  EXPECT_TRUE(VerifyBatch({}).empty());
+TEST(SignatureAuditTest, VerifyAuditsEachFailureOnce) {
+  MerkleSigner signer(util::ToBytes("mss-seed-audit"), 2);
+  Bytes msg = util::ToBytes("audited");
+  Bytes sig = *signer.Sign(msg);
+  EXPECT_TRUE(SignatureFailuresDuring([&] {
+                ASSERT_TRUE(Verify(signer.public_key(), msg, sig).ok());
+              }).empty());
+  std::vector<util::AuditEvent> events = SignatureFailuresDuring([&] {
+    ASSERT_TRUE(Verify(signer.public_key(), util::ToBytes("forged"), sig)
+                    .IsVerificationFailure());
+  });
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].detail,
+            "MerkleSig: VerificationFailure: MSS root mismatch");
 }
 
 // ---------------------------------------------------------------------------
@@ -466,7 +435,7 @@ TEST(VerifyBatchTest, EmptyBatchIsFine) {
 TEST(KeyStoreTest, IssueAddVerify) {
   CertificateAuthority ca(util::ToBytes("ca-seed"), /*height=*/4);
   MerkleSigner user_key(util::ToBytes("user-1-seed"), 3);
-  auto cert = ca.Issue(1, SchemeId::kMerkleSig, user_key.public_key());
+  auto cert = ca.Issue(1, user_key.public_key());
   ASSERT_TRUE(cert.ok());
 
   KeyStore store(ca.public_key());
@@ -480,44 +449,30 @@ TEST(KeyStoreTest, IssueAddVerify) {
                   .IsVerificationFailure());
 }
 
-TEST(KeyStoreTest, VerifyFromBatchMatchesVerifyFrom) {
-  CertificateAuthority ca(util::ToBytes("ca-batch-seed"), /*height=*/4);
+TEST(KeyStoreTest, VerifyFromAuditsEachFailureOnce) {
+  CertificateAuthority ca(util::ToBytes("ca-audit-seed"), /*height=*/4);
+  MerkleSigner user_key(util::ToBytes("user-audit-seed"), 2);
   KeyStore store(ca.public_key());
-  std::vector<std::unique_ptr<MerkleSigner>> signers;
-  for (uint32_t u = 1; u <= 3; ++u) {
-    signers.push_back(std::make_unique<MerkleSigner>(
-        util::ToBytes("user-" + std::to_string(u)), 2));
-    ASSERT_TRUE(
-        store.Add(*ca.Issue(u, SchemeId::kMerkleSig, signers.back()->public_key()))
-            .ok());
-  }
-  std::vector<Bytes> messages, signatures;
-  for (uint32_t u = 1; u <= 3; ++u) {
-    messages.push_back(util::ToBytes("blob from " + std::to_string(u)));
-    signatures.push_back(*signers[u - 1]->Sign(messages.back()));
-  }
-  Bytes unknown_msg = util::ToBytes("who");
-  std::vector<KeyStore::SignatureClaim> claims = {
-      {1, &messages[0], &signatures[0]},
-      {2, &messages[1], &signatures[1]},
-      {99, &unknown_msg, &signatures[0]},  // No certificate.
-      {3, &messages[2], &signatures[2]},
-      {3, &messages[1], &signatures[2]},  // Wrong message for this signature.
-  };
-  std::vector<Status> verdicts = store.VerifyFromBatch(claims);
-  ASSERT_EQ(verdicts.size(), 5u);
-  EXPECT_TRUE(verdicts[0].ok()) << verdicts[0].ToString();
-  EXPECT_TRUE(verdicts[1].ok()) << verdicts[1].ToString();
-  EXPECT_TRUE(verdicts[2].IsNotFound());
-  EXPECT_TRUE(verdicts[3].ok()) << verdicts[3].ToString();
-  EXPECT_TRUE(verdicts[4].IsVerificationFailure());
+  ASSERT_TRUE(store.Add(*ca.Issue(1, user_key.public_key())).ok());
+  Bytes msg = util::ToBytes("epoch state");
+  Bytes sig = *user_key.Sign(msg);
+  EXPECT_TRUE(SignatureFailuresDuring([&] {
+                ASSERT_TRUE(store.VerifyFrom(1, msg, sig).ok());
+              }).empty());
+  std::vector<util::AuditEvent> events = SignatureFailuresDuring([&] {
+    ASSERT_TRUE(store.VerifyFrom(1, util::ToBytes("other"), sig)
+                    .IsVerificationFailure());
+  });
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].detail,
+            "MerkleSig: VerificationFailure: MSS root mismatch");
 }
 
 TEST(KeyStoreTest, ForgedCertificateRejected) {
   CertificateAuthority ca(util::ToBytes("ca-seed-2"), 4);
   CertificateAuthority rogue(util::ToBytes("rogue-seed"), 4);
   MerkleSigner user_key(util::ToBytes("user-seed"), 2);
-  auto cert = rogue.Issue(1, SchemeId::kMerkleSig, user_key.public_key());
+  auto cert = rogue.Issue(1, user_key.public_key());
   ASSERT_TRUE(cert.ok());
   KeyStore store(ca.public_key());
   EXPECT_TRUE(store.Add(*cert).IsVerificationFailure());
@@ -529,11 +484,11 @@ TEST(KeyStoreTest, RebindingDifferentKeyRejected) {
   MerkleSigner k1(util::ToBytes("k1"), 2);
   MerkleSigner k2(util::ToBytes("k2"), 2);
   KeyStore store(ca.public_key());
-  ASSERT_TRUE(store.Add(*ca.Issue(1, SchemeId::kMerkleSig, k1.public_key())).ok());
+  ASSERT_TRUE(store.Add(*ca.Issue(1, k1.public_key())).ok());
   // Same cert again is idempotent.
-  ASSERT_TRUE(store.Add(*ca.Issue(1, SchemeId::kMerkleSig, k1.public_key())).ok());
+  ASSERT_TRUE(store.Add(*ca.Issue(1, k1.public_key())).ok());
   // Different key for the same principal is refused.
-  EXPECT_TRUE(store.Add(*ca.Issue(1, SchemeId::kMerkleSig, k2.public_key()))
+  EXPECT_TRUE(store.Add(*ca.Issue(1, k2.public_key()))
                   .IsAlreadyExists());
 }
 

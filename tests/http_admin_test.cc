@@ -395,7 +395,6 @@ TEST(HttpAdminTest, SlowOpRecordJsonCarriesEveryField) {
   record.ts_us = 424242;
   record.cost.hashes = 12;
   record.cost.bytes_hashed = 4096;
-  record.cost.sig_verifies = 2;
   record.cost.vo_bytes_built = 777;
   record.cost.wal_appends = 1;
   record.cost.wal_fsync_wait_us = 90000;
@@ -420,7 +419,6 @@ TEST(HttpAdminTest, SlowOpRecordJsonCarriesEveryField) {
   ASSERT_NE(cost, nullptr);
   EXPECT_EQ(cost->GetU64("hashes"), record.cost.hashes);
   EXPECT_EQ(cost->GetU64("bytes_hashed"), record.cost.bytes_hashed);
-  EXPECT_EQ(cost->GetU64("sig_verifies"), record.cost.sig_verifies);
   EXPECT_EQ(cost->GetU64("vo_bytes_built"), record.cost.vo_bytes_built);
   EXPECT_EQ(cost->GetU64("wal_appends"), record.cost.wal_appends);
   EXPECT_EQ(cost->GetU64("wal_fsync_wait_us"), record.cost.wal_fsync_wait_us);

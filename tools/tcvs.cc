@@ -223,14 +223,13 @@ void PrintTopFrame(const util::MetricsSnapshot& prev,
                                    "list", "log_checkpoint"};
   // QUEUE/WORK/FSYNC first — they decompose the latency column (queue +
   // work + fsync = latency per request) — then the per-op work counters.
-  static const char* kCostKeys[] = {"queue_us",     "work_us",
+  static const char* kCostKeys[] = {"queue_us", "work_us",
                                     "wal_fsync_wait_us",
-                                    "hashes",       "bytes_hashed",
-                                    "sig_verifies", "vo_bytes",
-                                    "wal_appends"};
+                                    "hashes",   "bytes_hashed",
+                                    "vo_bytes", "wal_appends"};
   static const char* kCostHeaders[] = {"QUEUE/OP", "WORK/OP", "FSYNC/OP",
-                                       "HSH/OP",   "BH/OP",   "SIG/OP",
-                                       "VOB/OP",   "WAL/OP"};
+                                       "HSH/OP",   "BH/OP",   "VOB/OP",
+                                       "WAL/OP"};
   constexpr size_t kNumCost = sizeof(kCostKeys) / sizeof(kCostKeys[0]);
   // Pad the METHOD column to the longest method name so the columns never
   // jitter when a long-named method (log_checkpoint) joins mid-session.
