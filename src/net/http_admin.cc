@@ -17,10 +17,6 @@ namespace net {
 
 namespace {
 
-/// Accepted connections waiting for a worker. The admin plane expects one
-/// scraper and an occasional human; anything beyond this is shed at accept.
-constexpr size_t kQueueCapacity = 32;
-
 /// Response bodies a test client may legitimately fetch (a full trace ring
 /// renders to a few MiB of JSON); HttpGet refuses anything larger.
 constexpr size_t kMaxResponseBytes = TcpConnection::kMaxFrame;
@@ -119,41 +115,26 @@ std::string HttpRequest::QueryParam(const std::string& key) const {
 Result<std::unique_ptr<HttpAdminServer>> HttpAdminServer::Start(
     Options options) {
   options.num_threads = std::max(1, std::min(options.num_threads, 16));
-  options.poll_interval_ms = std::max(1, options.poll_interval_ms);
   TCVS_ASSIGN_OR_RETURN(TcpListener listener, TcpListener::Bind(options.port));
   std::unique_ptr<HttpAdminServer> server(new HttpAdminServer(options));
   server->listener_ = std::move(listener);
-  server->started_ = true;
+  TCVS_RETURN_NOT_OK(server->loop_.Start(
+      &server->listener_, [raw = server.get()](TcpConnection* conn) {
+        raw->ServeConnection(conn);
+        return ServeLoop::Action::kClose;  // One request per connection.
+      }));
   util::MetricsRegistry::Instance()
       .GetGauge("net.admin.workers")
       ->Set(options.num_threads);
-  for (int i = 0; i < options.num_threads; ++i) {
-    server->workers_.emplace_back([raw = server.get()] { raw->WorkerLoop(); });
-  }
-  server->accept_thread_ = std::thread([raw = server.get()] {
-    raw->AcceptLoop();
-  });
   return server;
 }
 
 HttpAdminServer::~HttpAdminServer() { Stop(); }
 
 void HttpAdminServer::Stop() {
-  if (!started_) return;
-  {
-    util::MutexLock lock(&queue_mu_);
-    if (stopping_) return;
-    stopping_ = true;
-  }
-  queue_cv_.SignalAll();
-  // Closing the listener makes a blocked Accept fail fast on some kernels;
-  // the poll-interval slice bounds the wait on the rest.
-  if (accept_thread_.joinable()) accept_thread_.join();
+  loop_.Stop(Status::OK());
+  (void)loop_.Join();
   listener_.Close();
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-  workers_.clear();
   util::MetricsRegistry::Instance().GetGauge("net.admin.workers")->Set(0);
 }
 
@@ -170,52 +151,8 @@ std::vector<std::string> HttpAdminServer::paths() const {
   return out;
 }
 
-void HttpAdminServer::AcceptLoop() {
-  for (;;) {
-    {
-      util::MutexLock lock(&queue_mu_);
-      if (stopping_) return;
-    }
-    Result<TcpConnection> accepted =
-        listener_.Accept(options_.poll_interval_ms);
-    if (!accepted.ok()) {
-      if (accepted.status().IsDeadlineExceeded()) continue;
-      return;  // Listener broken; workers still drain on Stop().
-    }
-    util::MutexLock lock(&queue_mu_);
-    if (stopping_) return;
-    if (queue_.size() >= kQueueCapacity) {
-      // Shed load: drop the connection rather than queue unboundedly. The
-      // scraper sees a reset and retries at the next interval.
-      util::MetricsRegistry::Instance()
-          .GetCounter("net.admin.shed_total")
-          ->Increment();
-      continue;
-    }
-    queue_.push_back(std::move(accepted).ValueOrDie());
-    queue_cv_.Signal();
-  }
-}
-
-void HttpAdminServer::WorkerLoop() {
-  for (;;) {
-    TcpConnection conn;
-    {
-      util::MutexLock lock(&queue_mu_);
-      while (queue_.empty() && !stopping_) {
-        queue_cv_.WaitFor(&queue_mu_, options_.poll_interval_ms);
-      }
-      if (queue_.empty() && stopping_) return;
-      if (queue_.empty()) continue;
-      conn = std::move(queue_.front());
-      queue_.erase(queue_.begin());
-    }
-    ServeConnection(std::move(conn));
-  }
-}
-
-void HttpAdminServer::ServeConnection(TcpConnection conn) {
-  conn.set_io_timeout_ms(options_.io_timeout_ms);
+void HttpAdminServer::ServeConnection(TcpConnection* conn) {
+  conn->set_io_timeout_ms(options_.io_timeout_ms);
   std::string head;
   HttpResponse response;
   bool parsed = false;
@@ -226,7 +163,7 @@ void HttpAdminServer::ServeConnection(TcpConnection conn) {
       response.body = "request too large\n";
       break;
     }
-    Result<size_t> n = conn.ReadSome(buf, sizeof(buf));
+    Result<size_t> n = conn->ReadSome(buf, sizeof(buf));
     if (!n.ok() || *n == 0) return;  // Peer gone or stalled: no reply.
     head.append(reinterpret_cast<const char*>(buf), *n);
     if (head.find("\r\n\r\n") != std::string::npos) {
@@ -244,9 +181,8 @@ void HttpAdminServer::ServeConnection(TcpConnection conn) {
     }
   }
   const std::string wire = RenderResponse(response);
-  (void)conn.WriteRaw(reinterpret_cast<const uint8_t*>(wire.data()),
-                      wire.size());
-  conn.Close();
+  (void)conn->WriteRaw(reinterpret_cast<const uint8_t*>(wire.data()),
+                       wire.size());
 }
 
 HttpResponse HttpAdminServer::Dispatch(const HttpRequest& request) {
@@ -485,29 +421,6 @@ Result<HttpResponse> HttpGet(const std::string& host, uint16_t port,
   response.status = std::atoi(head.c_str() + sp + 1);
   if (response.status < 100 || response.status > 599) {
     return Status::IOError("http: malformed status code");
-  }
-  // Content-Type, if present (headers are case-insensitive; ours emits
-  // canonical casing but be lenient for symmetry with other servers).
-  size_t line_start = head.find("\r\n");
-  while (line_start != std::string::npos && line_start + 2 < head.size()) {
-    line_start += 2;
-    size_t line_end = head.find("\r\n", line_start);
-    if (line_end == std::string::npos) line_end = head.size();
-    std::string line = head.substr(line_start, line_end - line_start);
-    const size_t colon = line.find(':');
-    if (colon != std::string::npos) {
-      std::string name = line.substr(0, colon);
-      std::transform(name.begin(), name.end(), name.begin(),
-                     [](unsigned char c) { return std::tolower(c); });
-      if (name == "content-type") {
-        size_t value_start = colon + 1;
-        while (value_start < line.size() && line[value_start] == ' ') {
-          ++value_start;
-        }
-        response.content_type = line.substr(value_start);
-      }
-    }
-    line_start = line_end == head.size() ? std::string::npos : line_end;
   }
   response.body = raw.substr(head_end + 4);
   return response;

@@ -5,9 +5,9 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "net/serve_loop.h"
 #include "net/socket.h"
 #include "util/mutex.h"
 #include "util/result.h"
@@ -28,8 +28,8 @@ inline constexpr char kFaultAdminHandlerFail[] = "net.admin.handler.fail";
 /// server that exposes the process's metrics, health, traces, and audit
 /// events to standard tooling (Prometheus scrapers, curl, load-balancer
 /// health checks). It reuses the net socket layer (poll deadlines, fault
-/// injection) and runs on its own listener thread plus a small worker
-/// pool, so a slow scraper never blocks the RPC serving path.
+/// injection) and runs on its own net::ServeLoop with a small worker pool,
+/// so a slow scraper never blocks the RPC serving path.
 ///
 /// Scope is deliberately tiny: GET only, one request per connection
 /// (`Connection: close`), bounded request size, no TLS, loopback bind.
@@ -60,8 +60,8 @@ struct HttpResponse {
 /// thread-safe; they should be read-mostly and fast (the pool is small).
 using HttpHandler = std::function<HttpResponse(const HttpRequest&)>;
 
-/// \brief The admin-plane HTTP server. Start() binds and spawns the accept
-/// thread + workers; Stop() (or the destructor) joins everything.
+/// \brief The admin-plane HTTP server. Start() binds and starts the serve
+/// loop's workers; Stop() (or the destructor) joins everything.
 class HttpAdminServer {
  public:
   struct Options {
@@ -70,8 +70,8 @@ class HttpAdminServer {
     /// Workers answering requests. Scrapes are cheap; 2 is plenty for a
     /// scraper plus a human with curl.
     int num_threads = 2;
-    /// Bounded-blocking slice for accept waits — the latency bound on
-    /// noticing Stop(), not a client-visible deadline.
+    /// Bounded-blocking slice of each worker's readiness wait — the latency
+    /// bound on noticing Stop(), not a client-visible deadline.
     int poll_interval_ms = 50;
     /// Whole-call deadline for reading a request / writing a response.
     /// Bounds how long a stalled scraper can pin a worker.
@@ -106,12 +106,12 @@ class HttpAdminServer {
   void Stop();
 
  private:
-  explicit HttpAdminServer(Options options) : options_(options) {}
+  explicit HttpAdminServer(Options options)
+      : options_(options),
+        loop_(options.num_threads, options.poll_interval_ms) {}
 
-  void AcceptLoop();
-  void WorkerLoop();
-  /// Reads one request, dispatches, writes the response. Closes `conn`.
-  void ServeConnection(TcpConnection conn);
+  /// Reads one request, dispatches, writes the response.
+  void ServeConnection(TcpConnection* conn);
   HttpResponse Dispatch(const HttpRequest& request) TCVS_EXCLUDES(mu_);
 
   Options options_;
@@ -120,14 +120,7 @@ class HttpAdminServer {
   mutable util::Mutex mu_;
   std::map<std::string, HttpHandler> handlers_ TCVS_GUARDED_BY(mu_);
 
-  util::Mutex queue_mu_;
-  util::CondVar queue_cv_;
-  std::vector<TcpConnection> queue_ TCVS_GUARDED_BY(queue_mu_);
-  bool stopping_ TCVS_GUARDED_BY(queue_mu_) = false;
-
-  std::thread accept_thread_;
-  std::vector<std::thread> workers_;
-  bool started_ = false;
+  ServeLoop loop_;
 };
 
 /// \brief A named readiness probe for /readyz. `check` returns OK when the
@@ -157,7 +150,7 @@ struct AdminEndpointOptions {
 ///   /varz     full metrics snapshot as JSON
 ///   /healthz  liveness: 200 "ok" while the process can answer at all
 ///   /readyz   readiness: 200 only when every HealthCheck passes
-///   /statusz  build info, uptime, config, thread/queue gauges (JSON)
+///   /statusz  build info, uptime, config, every gauge (JSON)
 ///   /tracez   drains the trace ring as Chrome trace-event JSON
 ///   /eventsz  audit log as JSON lines; ?since=SEQ for incremental reads
 ///

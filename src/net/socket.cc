@@ -274,12 +274,6 @@ Status TcpConnection::SendFrame(const Bytes& payload) {
   return st;
 }
 
-Status TcpConnection::WaitReadable(int timeout_ms) {
-  if (fd_ < 0) return Status::FailedPrecondition("connection closed");
-  return PollFd(fd_, POLLIN, /*has_deadline=*/timeout_ms > 0,
-                Clock::now() + std::chrono::milliseconds(timeout_ms));
-}
-
 Result<Bytes> TcpConnection::ReceiveFrame() {
   if (fd_ < 0) return Status::FailedPrecondition("connection closed");
   if (util::FaultInjector::Instance().ShouldFail(kFaultRecvDrop)) {
@@ -394,30 +388,42 @@ Result<TcpListener> TcpListener::Bind(uint16_t port) {
     ::close(fd);
     return st;
   }
+  SetNonBlocking(fd);
   TcpListener listener;
   listener.fd_ = fd;
   listener.port_ = ntohs(addr.sin_port);
   return listener;
 }
 
-Result<TcpConnection> TcpListener::Accept(int timeout_ms) {
+Result<TcpConnection> TcpListener::TryAccept() {
   if (fd_ < 0) return Status::FailedPrecondition("listener closed");
-  if (timeout_ms > 0) {
-    TCVS_RETURN_NOT_OK(PollFd(fd_, POLLIN, /*has_deadline=*/true,
-                              Clock::now() +
-                                  std::chrono::milliseconds(timeout_ms)));
-  }
   int cfd;
   do {
     cfd = ::accept(fd_, nullptr, nullptr);
   } while (cfd < 0 && errno == EINTR);
-  if (cfd < 0) return Errno("accept");
+  if (cfd < 0) {
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return TcpConnection();
+    if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+        errno == ENOMEM || errno == ECONNABORTED) {
+      return Status::Unavailable(std::string("accept: ") +
+                                 std::strerror(errno));
+    }
+    return Errno("accept");
+  }
   // Both ends of every connection run with Nagle off (Connect sets it on
   // the client side): a reply must leave as soon as it is written, not
   // after the peer's delayed ACK for the previous segment.
   int one = 1;
   ::setsockopt(cfd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   return TcpConnection(cfd);
+}
+
+Result<TcpConnection> TcpListener::Accept() {
+  for (;;) {
+    TCVS_ASSIGN_OR_RETURN(TcpConnection conn, TryAccept());
+    if (conn.valid()) return conn;
+    TCVS_RETURN_NOT_OK(PollFd(fd_, POLLIN, false, Clock::time_point()));
+  }
 }
 
 Result<uint64_t> ParseUint(const std::string& text, uint64_t max) {

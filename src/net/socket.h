@@ -60,14 +60,6 @@ class TcpConnection {
   /// connection is closed: frame boundaries cannot be trusted afterwards.
   void set_io_timeout_ms(int ms) { io_timeout_ms_ = ms; }
 
-  /// Waits until at least one byte (or EOF) is readable, without consuming
-  /// it. OK = readable now, DeadlineExceeded = `timeout_ms` elapsed idle.
-  /// Lets a serving thread block in bounded slices, checking for shutdown
-  /// between them, instead of wedging forever in ReceiveFrame on an idle
-  /// peer — and an idle expiry here leaves NO frame mid-read, so unlike an
-  /// io-timeout the connection stays usable.
-  Status WaitReadable(int timeout_ms);
-
   /// Writes one frame — header and payload in one sendmsg — retrying short
   /// writes and EINTR internally.
   Status SendFrame(const Bytes& payload);
@@ -116,11 +108,19 @@ class TcpListener {
 
   uint16_t port() const { return port_; }
 
+  /// The listening descriptor (-1 once closed), for registering it with a
+  /// readiness set (net::ServeLoop).
+  int fd() const { return fd_; }
+
+  /// Accepts one pending connection without waiting (the listener is
+  /// non-blocking): an invalid TcpConnection when none is pending. Running
+  /// out of fds, buffers or memory (EMFILE, ENFILE, ENOBUFS, ENOMEM) and a
+  /// connection aborted before it was accepted are Unavailable — transient,
+  /// the queue keeps any pending connection. Any other failure is IOError.
+  Result<TcpConnection> TryAccept();
+
   /// Blocks until a client connects (EINTR-safe).
-  /// \param timeout_ms 0 = wait forever; otherwise DeadlineExceeded when no
-  /// client arrived in time — the accept loop's bounded-blocking slice, so
-  /// it can poll a stop flag between waits.
-  Result<TcpConnection> Accept(int timeout_ms = 0);
+  Result<TcpConnection> Accept();
 
   void Close();
 

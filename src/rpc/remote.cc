@@ -1,6 +1,6 @@
 #include "rpc/remote.h"
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <deque>
@@ -10,6 +10,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "net/serve_loop.h"
 #include "util/cost.h"
 #include "util/fault.h"
 #include "util/logging.h"
@@ -422,21 +423,24 @@ class ReplyCache {
   std::deque<uint64_t> order_;
 };
 
-/// \brief Everything the accept loop and the worker pool share for one
-/// Serve() call. Two lock domains, never held together:
-///
-///   mu_       — the *execution* lock: reply cache + ServerApi. Held across
-///               the cache-lookup → execute → cache-insert triple, so a
-///               replayed request id can never execute twice, and the
-///               (single-threaded) ServerApi sees one caller at a time.
-///   queue_mu_ — the *dispatch* lock: the bounded connection queue.
-///
-/// Lock hierarchy: queue_mu_ and mu_ are leaves; no code path takes one
-/// while holding the other (see ARCHITECTURE.md, "Concurrency model").
+/// A server reply on the wire, or its error status. Pass-through of the
+/// quarantined reply: serializing its bytes claims nothing about them (the
+/// client re-quarantines on parse).
+template <typename Reply>
+RpcResponse PassThrough(const Result<util::Tainted<Reply>>& reply_or) {
+  if (!reply_or.ok()) return RpcResponse::FromStatus(reply_or.status());
+  RpcResponse resp;
+  resp.payload = reply_or->untrusted().Serialize();
+  return resp;
+}
+
+/// \brief What every serve worker shares for one Serve() call. The leaf
+/// *execution* lock `mu_` is held across the reply-cache-lookup → execute →
+/// cache-insert triple, so a replayed request id never executes twice and
+/// the (single-threaded) ServerApi sees one caller at a time.
 class ServeState {
  public:
-  ServeState(cvs::ServerApi* api, const ServeOptions& options)
-      : api_(api), options_(options) {}
+  explicit ServeState(cvs::ServerApi* api) : api_(api) {}
 
   /// Handles one request frame end to end; returns the wire reply.
   /// Sets *shutdown when the frame was a kShutdown request. On a
@@ -462,14 +466,12 @@ class ServeState {
     static util::Counter* const malformed =
         util::MetricsRegistry::Instance().GetCounter(
             "rpc.serve.malformed_requests_total");
-    auto req_or = RpcRequest::Deserialize(frame);
-    if (!req_or.ok()) {
-      malformed->Increment();
-      return RpcResponse::FromStatus(req_or.status()).Serialize();
-    }
     // Server-side structural endorsement: the serving process executes
     // whatever a client asks; clients' own verification is what matters.
-    auto checked_or = CheckRequestEnvelope(std::move(*req_or));
+    auto req_or = RpcRequest::Deserialize(frame);
+    Result<RpcRequest> checked_or =
+        req_or.ok() ? CheckRequestEnvelope(std::move(*req_or))
+                    : Result<RpcRequest>(req_or.status());
     if (!checked_or.ok()) {
       malformed->Increment();
       return RpcResponse::FromStatus(checked_or.status()).Serialize();
@@ -516,39 +518,15 @@ class ServeState {
       case RpcType::kGetParams:
         resp.payload = SerializeParams(api_->tree_params());
         break;
-      case RpcType::kTransact: {
-        auto reply_or = api_->Transact(req.user, req.ops);
-        if (!reply_or.ok()) {
-          resp = RpcResponse::FromStatus(reply_or.status());
-        } else {
-          // Pass-through of the quarantined reply: serializing its bytes
-          // claims nothing about them (the client re-quarantines on parse).
-          resp.payload = reply_or->untrusted().Serialize();
-        }
+      case RpcType::kTransact:
+        resp = PassThrough(api_->Transact(req.user, req.ops));
         break;
-      }
-      case RpcType::kList: {
-        auto reply_or = api_->List(req.user, req.prefix);
-        if (!reply_or.ok()) {
-          resp = RpcResponse::FromStatus(reply_or.status());
-        } else {
-          // Pass-through of the quarantined reply: serializing its bytes
-          // claims nothing about them (the client re-quarantines on parse).
-          resp.payload = reply_or->untrusted().Serialize();
-        }
+      case RpcType::kList:
+        resp = PassThrough(api_->List(req.user, req.prefix));
         break;
-      }
-      case RpcType::kLogCheckpoint: {
-        auto reply_or = api_->LogCheckpoint(req.old_size);
-        if (!reply_or.ok()) {
-          resp = RpcResponse::FromStatus(reply_or.status());
-        } else {
-          // Pass-through of the quarantined reply: serializing its bytes
-          // claims nothing about them (the client re-quarantines on parse).
-          resp.payload = reply_or->untrusted().Serialize();
-        }
+      case RpcType::kLogCheckpoint:
+        resp = PassThrough(api_->LogCheckpoint(req.old_size));
         break;
-      }
       case RpcType::kShutdown:
         *shutdown = true;
         break;
@@ -559,233 +537,114 @@ class ServeState {
     return wire;
   }
 
-  /// Accept side: enqueue a connection, blocking while the queue is full.
-  /// False once the server is stopping (the connection is dropped). The
-  /// enqueue time is stamped so the dequeuing worker can attribute
-  /// accepted-but-unserved wait as queue delay on the connection's first
-  /// request.
-  bool PushConnection(net::TcpConnection conn) {
-    static util::Counter* const accepted =
-        util::MetricsRegistry::Instance().GetCounter(
-            "rpc.serve.connections_total");
-    static util::Gauge* const depth =
-        util::MetricsRegistry::Instance().GetGauge("rpc.serve.queue_depth");
-    util::MutexLock lock(&queue_mu_);
-    while (queue_.size() >= options_.queue_capacity && !stopping()) {
-      queue_cv_.WaitFor(&queue_mu_, options_.poll_interval_ms);
-    }
-    if (stopping()) return false;
-    queue_.push_back({std::move(conn), util::MonotonicMicros()});
-    accepted->Increment();
-    depth->Set(static_cast<int64_t>(queue_.size()));
-    queue_cv_.SignalAll();
-    return true;
-  }
-
-  /// Worker side: dequeue the next connection; *queued_us_out gets how long
-  /// it sat accepted-but-unserved. False = stopping, no more work
-  /// (queued-but-unserved connections are simply closed).
-  bool PopConnection(net::TcpConnection* out, uint64_t* queued_us_out) {
-    static util::Gauge* const depth =
-        util::MetricsRegistry::Instance().GetGauge("rpc.serve.queue_depth");
-    util::MutexLock lock(&queue_mu_);
-    while (queue_.empty() && !stopping()) {
-      queue_cv_.WaitFor(&queue_mu_, options_.poll_interval_ms);
-    }
-    if (stopping()) return false;
-    *out = std::move(queue_.front().conn);
-    *queued_us_out = util::MonotonicMicros() - queue_.front().enqueue_us;
-    queue_.pop_front();
-    depth->Set(static_cast<int64_t>(queue_.size()));
-    queue_cv_.SignalAll();
-    return true;
-  }
-
-  /// Begins shutdown; the FIRST caller's status becomes Serve's return
-  /// value (a crash fault and a graceful shutdown may race).
-  void RequestStop(Status exit_status) {
-    util::MutexLock lock(&queue_mu_);
-    if (!stopping_.load(std::memory_order_relaxed)) {
-      exit_status_ = std::move(exit_status);
-      stopping_.store(true, std::memory_order_release);
-    }
-    queue_cv_.SignalAll();
-  }
-
-  bool stopping() const { return stopping_.load(std::memory_order_acquire); }
-
-  Status TakeExitStatus() {
-    util::MutexLock lock(&queue_mu_);
-    return std::move(exit_status_);
-  }
-
  private:
-  /// A connection plus when it entered the dispatch queue (steady clock).
-  struct QueuedConnection {
-    net::TcpConnection conn;
-    uint64_t enqueue_us = 0;
-  };
-
   cvs::ServerApi* const api_ TCVS_PT_GUARDED_BY(mu_);
-  const ServeOptions options_;
 
   // Named: contended waits show up as lock.rpc.serve.*.contention_us
   // histograms and in /lockz (see util/profiler.h).
   util::Mutex mu_{"rpc.serve.execute"};
   ReplyCache reply_cache_ TCVS_GUARDED_BY(mu_);
-
-  util::Mutex queue_mu_{"rpc.serve.queue"};
-  util::CondVar queue_cv_;
-  std::deque<QueuedConnection> queue_ TCVS_GUARDED_BY(queue_mu_);
-  std::atomic<bool> stopping_{false};
-  Status exit_status_ TCVS_GUARDED_BY(queue_mu_);
 };
 
-/// Answers frames on one connection until the peer disconnects, a fault
-/// point severs it, or the server begins stopping. `queued_us` is how long
-/// the connection sat accepted-but-unserved; it is charged as queue delay
-/// to the FIRST request (the one that actually waited for a worker).
-void ServeConnection(ServeState* state, net::TcpConnection* conn,
-                     const ServeOptions& options, uint64_t queued_us) {
+/// Answers one request frame on `conn`; keeps the connection unless the
+/// peer left, a fault point severed it, or the frame stopped the loop.
+net::ServeLoop::Action ServeFrame(ServeState* state, net::ServeLoop* loop,
+                                  net::TcpConnection* conn,
+                                  const ServeOptions& options) {
+  using Action = net::ServeLoop::Action;
   auto& faults = util::FaultInjector::Instance();
-  bool first_frame = true;
-  for (;;) {
-    // Wait in bounded slices so a shutdown initiated on another connection
-    // is noticed within one poll interval even while this peer is idle.
-    Status ready = conn->WaitReadable(options.poll_interval_ms);
-    if (!ready.ok()) {
-      if (ready.IsDeadlineExceeded() && !state->stopping()) continue;
-      return;
-    }
-    if (state->stopping()) return;
-    auto frame_or = conn->ReceiveFrame();
-    if (!frame_or.ok()) return;  // Peer disconnected.
+  // A peer that sends part of a frame and goes silent holds this worker
+  // for one deadline, not forever.
+  conn->set_io_timeout_ms(kServeFrameTimeoutMs);
+  auto frame_or = conn->ReceiveFrame();
+  if (!frame_or.ok()) return Action::kClose;  // Peer left or stalled.
 
-    if (faults.ShouldFail(kFaultServeCrash)) {
-      // Simulated process death: the request was received but nothing
-      // executed; the harness restarts the server from durable state.
-      state->RequestStop(Status::Unavailable("fault injected: " +
-                                             std::string(kFaultServeCrash)));
-      return;
-    }
-    if (faults.ShouldFail(kFaultServeDropBefore)) return;
-
-    bool shutdown = false;
-    RpcType type = static_cast<RpcType>(0);  // Stays 0 on a malformed frame.
-    uint64_t trace_id = 0;
-    // Per-request accounting: the cost scope captures every hash, signature
-    // verify, VO byte, and WAL wait the handler performs on this thread;
-    // the span collector (armed only when slow-op capture is on) keeps the
-    // request's own span subtree for the slow-op record.
-    util::CostScope cost_scope;
-    // Connection-queue wait precedes the first frame's handling; it is both
-    // charged as queue delay AND folded into that frame's recorded latency,
-    // so the decomposition identity `latency = queue + work + fsync` holds
-    // exactly (the execution-lock wait inside HandleFrame is already within
-    // the handling window).
-    const uint64_t conn_queue_us = first_frame ? queued_us : 0;
-    if (conn_queue_us != 0) {
-      if (auto* cost = util::CurrentCostCounters()) {
-        cost->queue_us += conn_queue_us;
-      }
-    }
-    first_frame = false;
-    std::optional<util::ScopedSpanCollector> collector;
-    if (options.slow_op_us > 0) collector.emplace();
-    const uint64_t start_us = util::MonotonicMicros();
-    Bytes wire = state->HandleFrame(*frame_or, &shutdown, &type, &trace_id);
-    const uint64_t elapsed_us =
-        util::MonotonicMicros() - start_us + conn_queue_us;
-    if (type != static_cast<RpcType>(0)) {
-      ServeMethodLatency(type)->RecordWithExemplar(elapsed_us, trace_id,
-                                                   start_us);
-      if (const MethodCostCounters* method_cost = ServeMethodCost(type)) {
-        // Everything not attributed to queueing or fsync waits is work.
-        const util::CostCounters& cost = cost_scope.counters();
-        const uint64_t attributed = cost.queue_us + cost.wal_fsync_wait_us;
-        const uint64_t work_us =
-            elapsed_us > attributed ? elapsed_us - attributed : 0;
-        method_cost->Add(cost, work_us);
-      }
-      if (options.slow_op_us > 0 && elapsed_us >= options.slow_op_us) {
-        static util::Counter* const slow_ops =
-            util::MetricsRegistry::Instance().GetCounter(
-                "rpc.serve.slow_ops_total");
-        slow_ops->Increment();
-        util::SlowOpRecord record;
-        record.method = RpcMethodName(type);
-        record.latency_us = elapsed_us;
-        record.trace_id = trace_id;
-        record.ts_us = start_us;
-        record.cost = cost_scope.counters();
-        record.spans =
-            util::TraceDump::FromEvents(collector->Take()).events;
-        // JSON-lines on stderr: greppable next to tcvsd's structured log
-        // without entangling the RPC layer with the logger.
-        const std::string line = record.JsonFormat();
-        std::fprintf(stderr, "%s\n", line.c_str());
-      }
-    }
-    if (faults.ShouldFail(kFaultServeDropAfter)) return;
-    Status send = conn->SendFrame(wire);
-    if (shutdown) {
-      // The shutdown reply is already on the wire (best effort); now stop
-      // the accept loop and every worker.
-      state->RequestStop(Status::OK());
-      return;
-    }
-    if (!send.ok()) return;
+  if (faults.ShouldFail(kFaultServeCrash)) {
+    // Simulated process death: the request was received but nothing
+    // executed; the harness restarts the server from durable state.
+    loop->Stop(Status::Unavailable("fault injected: " +
+                                   std::string(kFaultServeCrash)));
+    return Action::kClose;
   }
-}
+  if (faults.ShouldFail(kFaultServeDropBefore)) return Action::kClose;
 
-void WorkerLoop(ServeState* state, const ServeOptions& options) {
-  static util::Gauge* const busy = util::MetricsRegistry::Instance().GetGauge(
-      "rpc.serve.busy_workers");
-  net::TcpConnection conn;
-  uint64_t queued_us = 0;
-  while (state->PopConnection(&conn, &queued_us)) {
-    busy->Increment();
-    ServeConnection(state, &conn, options, queued_us);
-    busy->Decrement();
-    conn.Close();
+  bool shutdown = false;
+  RpcType type = static_cast<RpcType>(0);  // Stays 0 on a malformed frame.
+  uint64_t trace_id = 0;
+  // Per-request accounting: the cost scope captures every hash, signature
+  // verify, VO byte, WAL wait and execution-lock wait (the queue delay) the
+  // handler performs on this thread, so `latency = queue + work + fsync`
+  // holds exactly; the span collector (armed only when slow-op capture is
+  // on) keeps the request's own span subtree for the slow-op record.
+  util::CostScope cost_scope;
+  std::optional<util::ScopedSpanCollector> collector;
+  if (options.slow_op_us > 0) collector.emplace();
+  const uint64_t start_us = util::MonotonicMicros();
+  Bytes wire = state->HandleFrame(*frame_or, &shutdown, &type, &trace_id);
+  const uint64_t elapsed_us = util::MonotonicMicros() - start_us;
+  if (type != static_cast<RpcType>(0)) {
+    ServeMethodLatency(type)->RecordWithExemplar(elapsed_us, trace_id,
+                                                 start_us);
+    if (const MethodCostCounters* method_cost = ServeMethodCost(type)) {
+      // Everything not attributed to queueing or fsync waits is work.
+      const util::CostCounters& cost = cost_scope.counters();
+      const uint64_t attributed = cost.queue_us + cost.wal_fsync_wait_us;
+      const uint64_t work_us =
+          elapsed_us > attributed ? elapsed_us - attributed : 0;
+      method_cost->Add(cost, work_us);
+    }
+    if (options.slow_op_us > 0 && elapsed_us >= options.slow_op_us) {
+      static util::Counter* const slow_ops =
+          util::MetricsRegistry::Instance().GetCounter(
+              "rpc.serve.slow_ops_total");
+      slow_ops->Increment();
+      util::SlowOpRecord record;
+      record.method = RpcMethodName(type);
+      record.latency_us = elapsed_us;
+      record.trace_id = trace_id;
+      record.ts_us = start_us;
+      record.cost = cost_scope.counters();
+      record.spans = util::TraceDump::FromEvents(collector->Take()).events;
+      // JSON-lines on stderr: greppable next to tcvsd's structured log
+      // without entangling the RPC layer with the logger.
+      const std::string line = record.JsonFormat();
+      std::fprintf(stderr, "%s\n", line.c_str());
+    }
   }
+  if (faults.ShouldFail(kFaultServeDropAfter)) return Action::kClose;
+  Status send = conn->SendFrame(wire);
+  if (shutdown) {
+    // The shutdown reply is already on the wire (best effort); now stop
+    // every worker.
+    loop->Stop(Status::OK());
+    return Action::kClose;
+  }
+  return send.ok() ? Action::kKeep : Action::kClose;
 }
 
 }  // namespace
 
 Status Serve(net::TcpListener* listener, cvs::ServerApi* server,
              ServeOptions options) {
-  if (options.num_threads < 1) options.num_threads = 1;
-  if (options.queue_capacity < 1) options.queue_capacity = 1;
-  if (options.poll_interval_ms < 1) options.poll_interval_ms = 1;
-
   // Readiness signal for the admin plane: nonzero while the pool serves.
   static util::Gauge* const workers_gauge =
       util::MetricsRegistry::Instance().GetGauge("rpc.serve.workers");
-  workers_gauge->Set(options.num_threads);
+  static util::Gauge* const busy = util::MetricsRegistry::Instance().GetGauge(
+      "rpc.serve.busy_workers");
 
-  ServeState state(server, options);
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<size_t>(options.num_threads));
-  for (int i = 0; i < options.num_threads; ++i) {
-    workers.emplace_back(WorkerLoop, &state, options);
-  }
-
-  while (!state.stopping()) {
-    auto conn_or = listener->Accept(options.poll_interval_ms);
-    if (!conn_or.ok()) {
-      if (conn_or.status().IsDeadlineExceeded()) continue;  // Stop check.
-      state.RequestStop(conn_or.status());
-      break;
-    }
-    if (!state.PushConnection(std::move(conn_or).ValueOrDie())) break;
-  }
-
-  // Stopping (whatever initiated it): workers drain within one poll
-  // interval; join them all before returning so no thread outlives Serve.
-  for (auto& worker : workers) worker.join();
+  ServeState state(server);
+  net::ServeLoop loop(options.num_threads, options.poll_interval_ms);
+  workers_gauge->Set(std::max(1, options.num_threads));
+  Status st = loop.Start(listener, [&](net::TcpConnection* conn) {
+    busy->Increment();
+    const net::ServeLoop::Action action =
+        ServeFrame(&state, &loop, conn, options);
+    busy->Decrement();
+    return action;
+  });
+  if (st.ok()) st = loop.Join();  // No worker outlives Serve.
   workers_gauge->Set(0);
-  return state.TakeExitStatus();
+  return st;
 }
 
 }  // namespace rpc

@@ -99,17 +99,19 @@ class RemoteServer : public cvs::ServerApi {
   uint64_t reconnects_ = 0;
 };
 
+/// Deadline for reading a request frame and for writing its reply on a
+/// served connection (RemoteOptions::io_timeout_ms's default): a peer that
+/// stalls mid-frame holds a serve worker this long at most.
+inline constexpr int kServeFrameTimeoutMs = 5000;
+
 /// \brief Concurrency knobs for Serve().
 struct ServeOptions {
-  /// Worker threads answering request frames. Each worker owns one
-  /// connection at a time, so replies on a connection stay ordered.
+  /// Worker threads answering request frames, however many clients are
+  /// connected: a connection holds a worker for one request at a time.
   int num_threads = 4;
-  /// Accepted connections waiting for a free worker. When full, the accept
-  /// loop stops accepting — kernel backlog is the backpressure.
-  size_t queue_capacity = 64;
-  /// Bounded-blocking slice for accept/receive waits: the latency bound on
-  /// noticing shutdown, NOT a client-visible deadline (idle connections
-  /// live forever).
+  /// Bounded-blocking slice of each worker's readiness wait: the latency
+  /// bound on noticing shutdown, NOT a client-visible deadline (idle
+  /// connections live forever).
   int poll_interval_ms = 50;
   /// Slow-op capture threshold: a served request whose whole-frame handling
   /// exceeds this emits a JSON-lines slow-op record (method, latency, trace
@@ -119,11 +121,12 @@ struct ServeOptions {
   uint64_t slow_op_us = 0;
 };
 
-/// \brief Serves any ServerApi on `listener` with a multi-threaded accept
-/// loop: the calling thread accepts connections into a bounded queue and a
-/// pool of `options.num_threads` workers answers request frames until each
-/// peer disconnects. Returns after a kShutdown request (OK) or on a
-/// listener error / injected crash, with every worker joined.
+/// \brief Serves any ServerApi on `listener` with a net::ServeLoop of
+/// `options.num_threads` workers: each readable connection gets a worker
+/// for one request frame, then goes back to the loop's readiness set, so
+/// every connected client is served whatever the pool size. Returns after a
+/// kShutdown request (OK) or on a listener error / injected crash, with
+/// every worker joined and every connection closed.
 ///
 /// Replies to counter-bearing requests (Transact/List) are cached per
 /// request id (bounded LRU), so a client replaying a request whose reply

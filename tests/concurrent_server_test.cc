@@ -22,7 +22,13 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <cstdlib>
 #include <map>
 #include <set>
@@ -35,6 +41,7 @@
 #include "cvs/trusted.h"
 #include "net/http_admin.h"
 #include "net/socket.h"
+#include "rpc/protocol.h"
 #include "rpc/remote.h"
 #include "storage/durable.h"
 #include "util/fault.h"
@@ -658,6 +665,202 @@ TEST(ConcurrentDurableServerTest, GroupCommitWindowOverRpcVerifiesAndRecovers) {
             static_cast<uint64_t>(kClients * kIterations));
   EXPECT_EQ((*reopened)->server()->tree().root_digest(), digest_before_close);
   std::filesystem::remove_all(dir, ec);
+}
+
+// ---------------------------------------------------------------------------
+// The serve loop: more connections than workers
+// ---------------------------------------------------------------------------
+
+/// A server with fewer workers than the connections each test opens. A
+/// connection holds a worker for one request, so every connection is
+/// served anyway.
+class ConcurrentServeLoopTest : public ::testing::Test {
+ protected:
+  static constexpr int kWorkers = 2;
+
+  void SetUp() override {
+    util::FaultInjector::Instance().Reset();
+    auto listener = net::TcpListener::Bind(0);
+    ASSERT_TRUE(listener.ok());
+    port_ = listener->port();
+    rpc::ServeOptions options;
+    options.num_threads = kWorkers;
+    serve_thread_ = std::thread(
+        [l = std::move(listener).ValueOrDie(), this, options]() mutable {
+          serve_status_ = rpc::Serve(&l, &repo_, options);
+          returned_us_ = util::MonotonicMicros();
+        });
+  }
+
+  void TearDown() override {
+    if (!serve_thread_.joinable()) return;
+    if (returned_us_.load() == 0) {
+      auto remote = rpc::RemoteServer::Connect("127.0.0.1", port_);
+      ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+      ASSERT_TRUE((*remote)->Shutdown().ok());
+    }
+    serve_thread_.join();
+    EXPECT_TRUE(serve_status_.ok()) << serve_status_.ToString();
+  }
+
+  /// Waits up to `timeout_ms` for Serve to return.
+  bool WaitForServeReturn(int timeout_ms) {
+    const uint64_t deadline_us =
+        util::MonotonicMicros() + static_cast<uint64_t>(timeout_ms) * 1000;
+    while (returned_us_.load() == 0 && util::MonotonicMicros() < deadline_us) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return returned_us_.load() != 0;
+  }
+
+  cvs::UntrustedServer repo_;
+  uint16_t port_ = 0;
+  std::thread serve_thread_;
+  Status serve_status_ = Status::OK();
+  /// MonotonicMicros() when Serve returned; 0 while it serves.
+  std::atomic<uint64_t> returned_us_{0};
+};
+
+TEST_F(ConcurrentServeLoopTest, MoreClientsThanWorkersAllCommit) {
+  // 4 × workers + 1 verifying clients, every connection open for the whole
+  // test: a worker per connection would leave all but two unserved.
+  constexpr int kClients = 4 * kWorkers + 1;
+  constexpr int kRounds = 5;
+  const uint64_t start_us = util::MonotonicMicros();
+  std::vector<std::unique_ptr<rpc::RemoteServer>> remotes;
+  for (int i = 0; i < kClients; ++i) {
+    auto remote =
+        rpc::RemoteServer::Connect("127.0.0.1", port_, FastRetryOptions());
+    ASSERT_TRUE(remote.ok()) << "client " << i << ": "
+                             << remote.status().ToString();
+    remotes.push_back(std::move(remote).ValueOrDie());
+  }
+  std::vector<cvs::ClientState> states(kClients);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kClients);
+  for (int i = 0; i < kClients; ++i) {
+    threads.emplace_back([&, i] {
+      cvs::VerifyingClient client(static_cast<uint32_t>(i + 1),
+                                  remotes[i].get());
+      const std::string path = "many/file" + std::to_string(i);
+      for (int round = 0; round < kRounds; ++round) {
+        auto rev = client.Commit(path, "v" + std::to_string(round),
+                                 static_cast<uint64_t>(round));
+        if (!rev.ok() || *rev != static_cast<uint64_t>(round + 1)) {
+          ++failures;
+          return;
+        }
+      }
+      states[i] = client.state();
+    });
+  }
+  for (auto& t : threads) t.join();
+  ASSERT_EQ(failures.load(), 0);
+  EXPECT_LT(util::MonotonicMicros() - start_us, 20'000'000u);
+  // gctr = Σ lctr, and no fork between any two clients.
+  uint64_t sum_lctr = 0;
+  for (const cvs::ClientState& state : states) sum_lctr += state.lctr;
+  EXPECT_EQ(repo_.ctr(), static_cast<uint64_t>(kClients * kRounds));
+  EXPECT_EQ(sum_lctr, repo_.ctr());
+  EXPECT_TRUE(cvs::VerifyingClient::SyncCheck(states).ok());
+}
+
+TEST_F(ConcurrentServeLoopTest, PartialFrameNeitherWedgesServingNorShutdown) {
+  // A raw peer sends 2 of a frame's 4 header bytes and goes silent: the
+  // worker that reads them waits one frame deadline, not forever.
+  auto stalled = net::TcpConnection::Connect("127.0.0.1", port_, 2000);
+  ASSERT_TRUE(stalled.ok()) << stalled.status().ToString();
+  const uint8_t half_header[2] = {8, 0};
+  ASSERT_TRUE(stalled->WriteRaw(half_header, sizeof(half_header)).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  // The other worker still serves a third party.
+  auto remote =
+      rpc::RemoteServer::Connect("127.0.0.1", port_, FastRetryOptions());
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  cvs::VerifyingClient client(1, remote->get());
+  auto rev = client.Commit("partial/file", "v0", 0);
+  ASSERT_TRUE(rev.ok()) << rev.status().ToString();
+  EXPECT_EQ(*rev, 1u);
+
+  // Shutdown from yet another client: Serve returns once the stalled
+  // read's deadline passes.
+  auto control =
+      rpc::RemoteServer::Connect("127.0.0.1", port_, FastRetryOptions());
+  ASSERT_TRUE(control.ok()) << control.status().ToString();
+  const uint64_t shutdown_us = util::MonotonicMicros();
+  ASSERT_TRUE((*control)->Shutdown().ok());
+  const bool returned = WaitForServeReturn(rpc::kServeFrameTimeoutMs + 1000);
+  // Closing the raw peer frees a wedged worker, so a failure cannot hang.
+  stalled->Close();
+  EXPECT_TRUE(returned) << "Serve still running "
+                        << rpc::kServeFrameTimeoutMs + 1000
+                        << " ms after shutdown";
+  if (returned) {
+    EXPECT_LT(returned_us_.load() - shutdown_us,
+              static_cast<uint64_t>(rpc::kServeFrameTimeoutMs + 1000) * 1000);
+  }
+}
+
+TEST_F(ConcurrentServeLoopTest, TransientAcceptErrorsKeepServing) {
+  // Run this process out of fds so the serve loop's accept fails with
+  // EMFILE, then give them back: the loop counts the errors, keeps
+  // serving, and accepts the connection that waited in the backlog.
+  // A served round trip first: the loop's epoll set exists before fds
+  // run out.
+  auto early =
+      rpc::RemoteServer::Connect("127.0.0.1", port_, FastRetryOptions());
+  ASSERT_TRUE(early.ok()) << early.status().ToString();
+  util::Counter* const accept_errors =
+      util::MetricsRegistry::Instance().GetCounter(
+          "net.serve.accept_errors_total");
+  const uint64_t errors_before = accept_errors->value();
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  const int lowest_free = ::open("/dev/null", O_RDONLY);
+  ASSERT_GE(lowest_free, 0);
+  rlimit lowered = saved;
+  lowered.rlim_cur = static_cast<rlim_t>(lowest_free) + 16;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+  std::vector<int> filler;
+  for (int fd = ::dup(lowest_free); fd >= 0; fd = ::dup(lowest_free)) {
+    filler.push_back(fd);
+  }
+  ASSERT_EQ(errno, EMFILE);
+  ASSERT_FALSE(filler.empty());
+  // One fd for the client's socket; the handshake completes in the kernel
+  // and the connection waits in the backlog for an accept with no fd.
+  ::close(lowest_free);
+  auto raw = net::TcpConnection::Connect("127.0.0.1", port_, 2000);
+  const uint64_t wait_deadline_us = util::MonotonicMicros() + 5'000'000;
+  while (raw.ok() && accept_errors->value() == errors_before &&
+         util::MonotonicMicros() < wait_deadline_us) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const uint64_t errors_seen = accept_errors->value() - errors_before;
+  for (int fd : filler) ::close(fd);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+  EXPECT_GT(errors_seen, 0u);
+  EXPECT_EQ(returned_us_.load(), 0u) << serve_status_.ToString();
+
+  // The backlogged connection is accepted and served now.
+  raw->set_io_timeout_ms(5000);
+  rpc::RpcRequest request;
+  request.type = rpc::RpcType::kGetParams;
+  ASSERT_TRUE(raw->SendFrame(request.Serialize()).ok());
+  auto reply = raw->ReceiveFrame();
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_FALSE(reply->empty());
+  // And so is a new verifying client.
+  auto remote =
+      rpc::RemoteServer::Connect("127.0.0.1", port_, FastRetryOptions());
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  cvs::VerifyingClient client(1, remote->get());
+  auto rev = client.Commit("emfile/file", "v0", 0);
+  ASSERT_TRUE(rev.ok()) << rev.status().ToString();
+  EXPECT_EQ(returned_us_.load(), 0u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
@@ -379,6 +380,36 @@ TEST(HttpAdminTest, ConcurrentReadsNeverWaitOnTheExecutionLock) {
   ASSERT_TRUE((*writer_remote)->Shutdown().ok());
   serve_thread.join();
   EXPECT_TRUE(serve_status.ok()) << serve_status.ToString();
+}
+
+// Silent connections hold fds, not workers: with 2 workers and 4 open
+// connections that never send a byte, /healthz on a fresh connection still
+// answers at once instead of after the silent ones' read deadlines.
+TEST(HttpAdminTest, ConcurrentSilentConnectionsDoNotDelayHealthz) {
+  net::HttpAdminServer::Options options = AdminOptions();
+  options.num_threads = 2;
+  auto admin = net::HttpAdminServer::Start(options);
+  ASSERT_TRUE(admin.ok()) << admin.status().ToString();
+  net::RegisterStandardEndpoints(admin->get(), net::AdminEndpointOptions{});
+  const uint16_t admin_port = (*admin)->port();
+
+  std::vector<net::TcpConnection> silent;
+  for (int i = 0; i < 4; ++i) {
+    auto conn = net::TcpConnection::Connect("127.0.0.1", admin_port, 2000);
+    ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+    silent.push_back(std::move(conn).ValueOrDie());
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  const uint64_t start_us = util::MonotonicMicros();
+  auto resp = net::HttpGet("127.0.0.1", admin_port, "/healthz", 5000);
+  const uint64_t elapsed_us = util::MonotonicMicros() - start_us;
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  EXPECT_EQ(resp->status, 200);
+  EXPECT_EQ(resp->body, "ok\n");
+  EXPECT_LT(elapsed_us, 1'000'000u);
+  silent.clear();
+  (*admin)->Stop();
 }
 
 // ---------------------------------------------------------------------------

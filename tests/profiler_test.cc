@@ -38,9 +38,16 @@ using namespace tcvs;
 
 // The known-hot function the folded profile must name. extern "C" keeps the
 // symbol unmangled and exported (CMAKE_ENABLE_EXPORTS), so dladdr resolves
-// it; noinline keeps the PC inside this function rather than the caller.
-extern "C" __attribute__((noinline)) uint64_t TcvsProfilerTestSpin(
-    uint64_t iters) {
+// it; noinline keeps the PC inside this function rather than the caller,
+// and GCC's noipa stops -O3 from cloning it into a local `.constprop`
+// symbol that dladdr cannot name (Clang lacks the attribute).
+#if defined(__GNUC__) && !defined(__clang__)
+#define TCVS_TEST_NOIPA __attribute__((noipa))
+#else
+#define TCVS_TEST_NOIPA
+#endif
+extern "C" __attribute__((noinline)) TCVS_TEST_NOIPA uint64_t
+TcvsProfilerTestSpin(uint64_t iters) {
   volatile uint64_t acc = 1;
   for (uint64_t i = 0; i < iters; ++i) {
     acc = acc * 6364136223846793005ULL + 1442695040888963407ULL;

@@ -46,7 +46,8 @@
 #                 the gate catches order-of-magnitude throughput losses,
 #                 not shared-runner jitter). Then the deployed-stack floor:
 #                 the transport stall tests (TCP_NODELAY on both ends,
-#                 p50 of 200 loopback round trips < 10 ms) must pass, and
+#                 p50 of 200 loopback round trips < 10 ms) and the
+#                 more-clients-than-workers serve test must pass, and
 #                 perfbench checkout_hot (seed 1, 5 s, untraced) must
 #                 report correct=true at >= 1,500 ops/s — 33x the ~45 of a
 #                 reply stalled on Nagle + delayed ACK, 10x under the
@@ -86,7 +87,7 @@ cd "$(dirname "$0")/.."
 JOBS="${JOBS:-$(nproc 2>/dev/null || echo 2)}"
 # The concurrency-exercising subset run under TSan (full suites run in
 # stages 1-2; TSan's 5-15x slowdown is spent where threads actually are).
-TSAN_FILTER='Concurrent|Faulted|Rpc|KilledAndRestarted|FaultInjector'
+TSAN_FILTER='Concurrent|Faulted|Rpc|KilledAndRestarted|FaultInjector|HttpAdmin'
 
 declare -A RESULT
 FAILED=0
@@ -272,7 +273,11 @@ for f in files:
 assert tables >= 2, "expected ops/sec tables from wal_commit + protocol_overhead"
 print(f"perf: {len(files)} bench JSON files OK")
 PYEOF
-    python3 tools/bench_compare.py bench/baselines "$tmp/new" \
+    # Only this stage's baselines: "present in base" then means a lost bench.
+    mkdir "$tmp/base" && cp bench/baselines/BENCH_bench_{crypto,merkle_tree}.json \
+        bench/baselines/BENCH_bench_{wal_commit,protocol_overhead}.json \
+        "$tmp/base/" || break
+    python3 tools/bench_compare.py "$tmp/base" "$tmp/new" \
         --threshold 75 || break
     rc=0
     break
@@ -289,7 +294,7 @@ deployed_floor() {
   out=$(mktemp) || return 1
   while :; do  # Single-pass; break is the error exit.
     ctest --preset default --no-tests=error \
-        -R 'NagleOff|RoundTripsDoNotStall' || break
+        -R 'NagleOff|RoundTripsDoNotStall|MoreClientsThanWorkers' || break
     python3 perfbench/run.py --workload checkout_hot --seed 1 --seconds 5 \
         --trace 0 > "$out" || break
     python3 - "$out" <<'PYEOF' || break
@@ -312,7 +317,7 @@ stage_perf() {
   [ "${RESULT[perf]}" = FAIL ] && return
   run_stage perf cmake --build --preset default -j "$JOBS" \
       --target bench_crypto bench_merkle_tree bench_wal_commit \
-               bench_protocol_overhead rpc_test
+               bench_protocol_overhead rpc_test concurrent_server_test
   [ "${RESULT[perf]}" = FAIL ] && return
   run_stage perf perf_smoke
   run_stage perf deployed_floor
@@ -502,7 +507,9 @@ PYEOF
     mkdir -p "$tmp/bench"
     TCVS_BENCH_JSON_DIR="$tmp/bench" ./build/bench/bench_admin_scrape \
         > /dev/null || break
-    python3 tools/bench_compare.py bench/baselines "$tmp/bench" \
+    mkdir "$tmp/base" || break
+    cp bench/baselines/BENCH_bench_admin_scrape.json "$tmp/base/" || break
+    python3 tools/bench_compare.py "$tmp/base" "$tmp/bench" \
         --threshold 75 || break
     python3 - "$tmp/bench/BENCH_bench_admin_scrape.json" <<'PYEOF' || break
 import json, sys
@@ -614,8 +621,6 @@ hists = varz["histograms"]
 execute = hists.get("lock.rpc.serve.execute.contention_us", {})
 assert execute.get("count", 0) > 0, \
     "serve execution lock shows no contention under 4 concurrent clients"
-assert hists.get("lock.rpc.serve.queue.contention_us", {}).get(
-    "count", 0) > 0, "worker queue waits not recorded"
 # Queue-delay attribution: per-method queue + work + fsync must equal the
 # served latency histogram's sum within 10% (clamping is the only slack).
 c = varz["counters"]
@@ -661,7 +666,9 @@ PYEOF
     mkdir -p "$tmp/bench"
     TCVS_BENCH_JSON_DIR="$tmp/bench" ./build/bench/bench_profiler_overhead \
         > /dev/null || break
-    python3 tools/bench_compare.py bench/baselines "$tmp/bench" \
+    mkdir "$tmp/base" || break
+    cp bench/baselines/BENCH_bench_profiler_overhead.json "$tmp/base/" || break
+    python3 tools/bench_compare.py "$tmp/base" "$tmp/bench" \
         --threshold 75 || break
     python3 - "$tmp/bench/BENCH_bench_profiler_overhead.json" <<'PYEOF' || break
 import json, sys

@@ -18,11 +18,11 @@
 // Every numeric flag must be a decimal number in range: anything else is a
 // usage error (exit 2), never wrapped or zeroed.
 //
-// --threads sizes the serve loop's worker pool: N connections are answered
+// --threads sizes the serve loop's worker pool: N requests are answered
 // concurrently (I/O in parallel, transaction execution serialized under the
-// serve lock — see ARCHITECTURE.md "Concurrency model"). Defaults to the
-// hardware concurrency, but never below 2 — group commit needs at least
-// two in-flight commits before a single fsync can cover a batch.
+// serve lock — see ARCHITECTURE.md "Concurrency model"), however many
+// clients are connected. Defaults to the hardware concurrency, but never
+// below 2.
 //
 // With --data-dir, the repository is durable: a write-ahead log captures
 // every transaction before it executes and a snapshot is folded on clean
@@ -214,9 +214,9 @@ int main(int argc, char** argv) {
   bool contention_profile = true;
   rpc::ServeOptions serve_options;
   const uint64_t start_us = util::MonotonicMicros();
-  // Size the worker pool to the machine, but never below 2: with a single
-  // worker there is never a second in-flight commit for group commit to
-  // batch with (hardware_concurrency() can also legally return 0).
+  // Size the worker pool to the machine, but never below 2: a peer stalled
+  // mid-frame holds a worker for up to rpc::kServeFrameTimeoutMs (and
+  // hardware_concurrency() can legally return 0).
   const unsigned hw = std::thread::hardware_concurrency();
   serve_options.num_threads = static_cast<int>(hw > 2 ? hw : 2);
   for (int i = 1; i < argc; ++i) {
