@@ -94,7 +94,7 @@ class ServingLoad {
         [l = std::move(listener).ValueOrDie(), this]() mutable {
           rpc::ServeOptions options;
           options.num_threads = kClients;
-          serve_status_ = rpc::Serve(&l, &repo_, options);
+          serve_status_ = rpc::Serve(&l, &serialized_, options);
         });
     for (int t = 0; t < kClients; ++t) {
       auto remote = rpc::RemoteServer::Connect("127.0.0.1", port_);
@@ -157,6 +157,7 @@ class ServingLoad {
  private:
   const char* bench_;
   cvs::UntrustedServer repo_;
+  cvs::SerializedServer serialized_{&repo_};
   uint16_t port_ = 0;
   Status serve_status_ = Status::OK();
   std::thread serve_thread_;

@@ -146,6 +146,33 @@ Result<ClientState> ClientState::Deserialize(const Bytes& data) {
 }
 
 // ---------------------------------------------------------------------------
+// SerializedServer
+// ---------------------------------------------------------------------------
+
+Result<util::Tainted<ServerReply>> SerializedServer::Transact(
+    uint32_t user, const std::vector<FileOp>& ops) {
+  util::MutexLock lock(&mu_);
+  return inner_->Transact(user, ops);
+}
+
+Result<util::Tainted<ListReply>> SerializedServer::List(
+    uint32_t user, const std::string& prefix) {
+  util::MutexLock lock(&mu_);
+  return inner_->List(user, prefix);
+}
+
+Result<util::Tainted<LogCheckpointReply>> SerializedServer::LogCheckpoint(
+    uint64_t old_size) {
+  util::MutexLock lock(&mu_);
+  return inner_->LogCheckpoint(old_size);
+}
+
+mtree::TreeParams SerializedServer::tree_params() const {
+  util::MutexLock lock(&mu_);
+  return inner_->tree_params();
+}
+
+// ---------------------------------------------------------------------------
 // UntrustedServer
 // ---------------------------------------------------------------------------
 

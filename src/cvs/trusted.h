@@ -9,6 +9,7 @@
 #include "cvs/repository.h"
 #include "mtree/btree.h"
 #include "mtree/vo.h"
+#include "util/mutex.h"
 #include "util/result.h"
 #include "util/untrusted.h"
 
@@ -122,6 +123,27 @@ class ServerApi {
 
   /// Tree geometry, needed by clients for VO replay.
   virtual mtree::TreeParams tree_params() const = 0;
+};
+
+/// \brief Makes a single-threaded ServerApi (UntrustedServer, a test double)
+/// safe for callers on many threads, such as rpc::Serve's workers: every
+/// call runs under one lock, `cvs.server.serialized`. DurableServer orders
+/// concurrent calls itself and is served without it.
+class SerializedServer : public ServerApi {
+ public:
+  explicit SerializedServer(ServerApi* inner) : inner_(inner) {}
+
+  Result<util::Tainted<ServerReply>> Transact(
+      uint32_t user, const std::vector<FileOp>& ops) override;
+  Result<util::Tainted<ListReply>> List(uint32_t user,
+                                        const std::string& prefix) override;
+  Result<util::Tainted<LogCheckpointReply>> LogCheckpoint(
+      uint64_t old_size) override;
+  mtree::TreeParams tree_params() const override;
+
+ private:
+  mutable util::Mutex mu_{"cvs.server.serialized"};
+  ServerApi* const inner_ TCVS_PT_GUARDED_BY(mu_);
 };
 
 /// \brief What the hosting vendor runs: a CVS repository over the Merkle

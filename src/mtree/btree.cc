@@ -344,29 +344,51 @@ constexpr uint32_t kMaxSerializedFanout = 1u << 20;
 }  // namespace
 
 Bytes MerkleBTree::Serialize() const {
+  Bytes out;
+  (void)SerializeTo([&](const Bytes& chunk) {
+    out.insert(out.end(), chunk.begin(), chunk.end());
+    return Status::OK();
+  });
+  return out;
+}
+
+Status MerkleBTree::SerializeTo(
+    const std::function<Status(const Bytes&)>& sink) const {
   struct Walker {
-    static void Write(const Node* n, util::Writer* w) {
-      w->PutU8(n->is_leaf ? 1 : 0);
+    const std::function<Status(const Bytes&)>& sink;
+    util::Writer w;
+
+    // Hands the chunk buffer to the sink once it is full.
+    Status MaybeEmit() {
+      if (w.buffer().size() < kSerializeChunkBytes) return Status::OK();
+      TCVS_RETURN_NOT_OK(sink(w.buffer()));
+      w.Clear();
+      return Status::OK();
+    }
+    Status Write(const Node* n) {
+      w.PutU8(n->is_leaf ? 1 : 0);
+      w.PutU32(static_cast<uint32_t>(n->keys.size()));
       if (n->is_leaf) {
-        w->PutU32(static_cast<uint32_t>(n->keys.size()));
         for (size_t i = 0; i < n->keys.size(); ++i) {
-          w->PutBytes(n->keys[i]);
-          w->PutBytes(n->values[i]);
+          w.PutBytes(n->keys[i]);
+          w.PutBytes(n->values[i]);
+          TCVS_RETURN_NOT_OK(MaybeEmit());
         }
-      } else {
-        w->PutU32(static_cast<uint32_t>(n->keys.size()));
-        for (const auto& k : n->keys) w->PutBytes(k);
-        for (const auto& c : n->children) Write(c.get(), w);
+        return Status::OK();
       }
+      for (const auto& k : n->keys) w.PutBytes(k);
+      TCVS_RETURN_NOT_OK(MaybeEmit());
+      for (const auto& c : n->children) TCVS_RETURN_NOT_OK(Write(c.get()));
+      return Status::OK();
     }
   };
-  util::Writer w;
-  w.PutString("tcvs-mtree-v1");
-  w.PutU64(params_.max_leaf_entries);
-  w.PutU64(params_.max_internal_keys);
-  w.PutU64(size_);
-  Walker::Write(root_.get(), &w);
-  return w.Take();
+  Walker walker{sink, {}};
+  walker.w.PutString("tcvs-mtree-v1");
+  walker.w.PutU64(params_.max_leaf_entries);
+  walker.w.PutU64(params_.max_internal_keys);
+  walker.w.PutU64(size_);
+  TCVS_RETURN_NOT_OK(walker.Write(root_.get()));
+  return walker.w.buffer().empty() ? Status::OK() : sink(walker.w.buffer());
 }
 
 Result<MerkleBTree> MerkleBTree::Deserialize(const Bytes& data,

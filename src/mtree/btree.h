@@ -1,5 +1,6 @@
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -110,6 +111,13 @@ class MerkleBTree {
   /// is preserved exactly, so the restored tree has the same root digest —
   /// a server can persist and restart without clients noticing.
   Bytes Serialize() const;
+
+  /// Serialize()'s bytes, streamed: handed to `sink` in chunks of about
+  /// kSerializeChunkBytes (a chunk ends after the entry that filled it), so
+  /// a snapshot of any size costs one chunk of memory. Returns the first
+  /// error `sink` returns.
+  Status SerializeTo(const std::function<Status(const Bytes&)>& sink) const;
+  static constexpr size_t kSerializeChunkBytes = 64 << 10;
 
   /// Restores a tree from Serialize() output, recomputing and validating
   /// all digests. \return Corruption/InvalidArgument on malformed input.

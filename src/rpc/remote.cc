@@ -8,6 +8,7 @@
 #include <random>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "net/serve_loop.h"
@@ -434,10 +435,11 @@ RpcResponse PassThrough(const Result<util::Tainted<Reply>>& reply_or) {
   return resp;
 }
 
-/// \brief What every serve worker shares for one Serve() call. The leaf
-/// *execution* lock `mu_` is held across the reply-cache-lookup → execute →
-/// cache-insert triple, so a replayed request id never executes twice and
-/// the (single-threaded) ServerApi sees one caller at a time.
+/// \brief What every serve worker shares for one Serve() call: the reply
+/// cache and the in-flight claims, under the leaf lock `mu_`. Execution
+/// runs outside it, so the thread-safe ServerApi sees concurrent callers;
+/// a request id is claimed before it executes, and a concurrent duplicate
+/// waits for the claim's reply instead of executing a second time.
 class ServeState {
  public:
   explicit ServeState(cvs::ServerApi* api) : api_(api) {}
@@ -466,6 +468,9 @@ class ServeState {
     static util::Counter* const malformed =
         util::MetricsRegistry::Instance().GetCounter(
             "rpc.serve.malformed_requests_total");
+    static util::Counter* const inflight_waits =
+        util::MetricsRegistry::Instance().GetCounter(
+            "rpc.serve.reply_cache.inflight_waits_total");
     // Server-side structural endorsement: the serving process executes
     // whatever a client asks; clients' own verification is what matters.
     auto req_or = RpcRequest::Deserialize(frame);
@@ -492,19 +497,25 @@ class ServeState {
     const bool cacheable = req.request_id != 0 &&
                            (req.type == RpcType::kTransact ||
                             req.type == RpcType::kList);
-    // Waiting for the execution lock is queue delay, not work: attribute it
-    // to the request's cost vector so latency decomposes into
-    // queue + work + fsync.
-    const uint64_t lock_start_us = util::MonotonicMicros();
-    util::MutexLock lock(&mu_);
-    const uint64_t lock_wait_us = util::MonotonicMicros() - lock_start_us;
-    if (lock_wait_us != 0) {
-      if (auto* cost = util::CurrentCostCounters()) {
-        cost->queue_us += lock_wait_us;
-      }
-    }
     if (cacheable) {
-      if (const Bytes* hit = reply_cache_.Find(req.request_id)) {
+      // Waiting for the cache lock, or for a duplicate's first execution,
+      // is queue delay, not work: attribute it to the request's cost vector
+      // so latency decomposes into queue + work + fsync.
+      const uint64_t wait_start_us = util::MonotonicMicros();
+      util::MutexLock lock(&mu_);
+      const Bytes* hit = reply_cache_.Find(req.request_id);
+      if (hit == nullptr && in_flight_.count(req.request_id) > 0) {
+        // A duplicate of a request still executing: wait for its reply.
+        inflight_waits->Increment();
+        do {
+          claim_cv_.Wait(&mu_);
+          hit = reply_cache_.Find(req.request_id);
+        } while (hit == nullptr && in_flight_.count(req.request_id) > 0);
+      }
+      if (auto* cost = util::CurrentCostCounters()) {
+        cost->queue_us += util::MonotonicMicros() - wait_start_us;
+      }
+      if (hit != nullptr) {
         // Replay of a request we already executed: return the original
         // reply; the operation counter must not advance twice.
         cache_hits->Increment();
@@ -512,6 +523,7 @@ class ServeState {
         return *hit;
       }
       cache_misses->Increment();
+      in_flight_.insert(req.request_id);
     }
     RpcResponse resp;
     switch (req.type) {
@@ -532,18 +544,27 @@ class ServeState {
         break;
     }
     Bytes wire = resp.Serialize();
-    if (cacheable) reply_cache_.Insert(req.request_id, wire);
+    if (cacheable) {
+      util::MutexLock lock(&mu_);
+      reply_cache_.Insert(req.request_id, wire);
+      in_flight_.erase(req.request_id);
+      claim_cv_.SignalAll();
+    }
     replies->Increment();
     return wire;
   }
 
  private:
-  cvs::ServerApi* const api_ TCVS_PT_GUARDED_BY(mu_);
+  cvs::ServerApi* const api_;
 
   // Named: contended waits show up as lock.rpc.serve.*.contention_us
   // histograms and in /lockz (see util/profiler.h).
   util::Mutex mu_{"rpc.serve.execute"};
   ReplyCache reply_cache_ TCVS_GUARDED_BY(mu_);
+  /// Request ids claimed by an execution that has not replied yet.
+  std::unordered_set<uint64_t> in_flight_ TCVS_GUARDED_BY(mu_);
+  /// Signalled when a claimed request's reply enters the cache.
+  util::CondVar claim_cv_;
 };
 
 /// Answers one request frame on `conn`; keeps the connection unless the

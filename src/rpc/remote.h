@@ -131,12 +131,11 @@ struct ServeOptions {
 /// Replies to counter-bearing requests (Transact/List) are cached per
 /// request id (bounded LRU), so a client replaying a request whose reply
 /// was lost gets the original reply back instead of a second execution.
-/// The lookup→execute→insert triple runs under one lock, so two concurrent
-/// retries of the same request id can never both execute — and the
-/// underlying ServerApi (which no annotation marks thread-safe) is only
-/// ever entered by one worker at a time. The win from the pool is I/O
-/// overlap: frame parsing, serialization, and socket transfers of N
-/// clients proceed in parallel around the serialized execute.
+/// A request id is claimed before it executes; a concurrent duplicate
+/// waits for the claim's reply, so two retries of one id never both
+/// execute. Execution itself holds no serve lock: `server` MUST be
+/// thread-safe (DurableServer is; wrap a single-threaded backend in
+/// cvs::SerializedServer), and requests of different clients overlap.
 Status Serve(net::TcpListener* listener, cvs::ServerApi* server,
              ServeOptions options = {});
 

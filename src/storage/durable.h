@@ -12,21 +12,6 @@
 namespace tcvs {
 namespace storage {
 
-/// \brief Durable wrapper around the untrusted repository server: snapshot +
-/// write-ahead log in a data directory, so `tcvsd --data-dir` survives
-/// restarts with the same root digest (clients verifying against their
-/// registers never notice the restart).
-///
-/// Layout:
-///   <dir>/snapshot.bin  — magic, ctr, creator, MerkleBTree::Serialize()
-///   <dir>/wal.log       — CRC-framed transaction records since the snapshot
-///
-/// Every Transact appends the request to the WAL before execution (the
-/// transaction is deterministic, so replay reconstructs the exact state).
-/// Checkpoint() folds the WAL into a fresh snapshot. Recovery loads the
-/// snapshot (if any) and replays the WAL's longest valid prefix — a torn
-/// tail from a crash is dropped, which is safe: the corresponding reply can
-/// never have reached a client.
 /// \brief Durability knobs for DurableServer.
 struct DurableOptions {
   /// fdatasync every WAL flush: acknowledged transactions survive an OS
@@ -48,17 +33,49 @@ struct DurableOptions {
   uint32_t emulated_sync_delay_us = 0;
 };
 
-/// \brief Group commit (leader/follower): Transact stages its WAL record
-/// under `mu_` (buffered, not yet flushed) and takes a commit sequence
-/// number; the first waiter to reach the coordinator becomes the LEADER,
-/// optionally waits `group_commit_window_us` for concurrent stragglers,
-/// then issues one Flush covering every staged record. FOLLOWERS just wait
-/// for `durable_seq` to pass their own number. Only after its record is
-/// durable does a transaction apply to the in-memory server — in strict
-/// sequence-number order, so the log order IS the apply order and recovery
-/// replay stays exactly-once. A reply therefore still never exists before
-/// its transaction is durable, exactly as in the serial-fsync design, but
-/// N concurrent transactions cost one device round trip instead of N.
+/// WAL size at which the server checkpoints itself while serving: the
+/// request whose record carries wal.log past it writes a fresh snapshot and
+/// truncates the log after its own apply, so the log never exceeds this
+/// bound by more than one record.
+inline constexpr uint64_t kWalCheckpointBytes = uint64_t{256} << 20;
+
+/// The checkpoint generation a WAL starts with, decoded from its first
+/// record (tcvs_fsck prints it).
+Result<uint64_t> DecodeWalGeneration(const Bytes& first_record);
+
+/// \brief Durable wrapper around the untrusted repository server: snapshot +
+/// write-ahead log in a data directory, so `tcvsd --data-dir` survives
+/// restarts with the same root digest (clients verifying against their
+/// registers never notice the restart).
+///
+/// Layout:
+///   <dir>/snapshot.bin — magic, generation G, skip N, ctr, creator, the
+///                        transparency-log leaves, MerkleBTree::Serialize()
+///   <dir>/wal.log      — CRC-framed records: a generation record, then one
+///                        record per transaction since the snapshot
+///
+/// **Write path.** Every Transact/List stages its request in the WAL buffer
+/// under `storage.durable.apply` and takes a commit sequence number; the
+/// group-commit coordinator makes it durable (leader/follower: the first
+/// waiter pushes the stdio buffer under the lock and runs ONE fdatasync for
+/// every staged record outside it, so other transactions stage and apply
+/// during the device sync); then it applies to the in-memory server in
+/// strict sequence order. The log order IS the apply order, so replay is
+/// exactly-once, and a reply never exists before its record is durable.
+/// Every method is thread-safe; rpc::Serve calls them concurrently.
+///
+/// **Checkpoints.** A checkpoint streams the state into a fresh snapshot of
+/// generation G = WAL generation + 1 that says it already holds the first N
+/// records of the current WAL, then truncates the WAL and starts it with a
+/// generation-G record. It runs with staging gated and every staged record
+/// applied, so no flush is in progress: online when the WAL passes
+/// kWalCheckpointBytes, on Checkpoint() (tcvsd at shutdown), and at Open
+/// when the WAL had a torn tail. Recovery loads the snapshot and replays a
+/// generation-G WAL whole, or skips the first N records of a generation
+/// G − 1 WAL: a crash between the snapshot rename and the truncate (or a
+/// failed truncate) never replays a transaction twice. A torn tail from a
+/// crash is dropped, which is safe: its reply can never have reached a
+/// client.
 class DurableServer : public cvs::ServerApi {
  public:
   /// Opens (and recovers) a data directory. The directory must exist.
@@ -66,10 +83,7 @@ class DurableServer : public cvs::ServerApi {
       const std::string& dir, mtree::TreeParams params,
       DurableOptions options = {});
 
-  /// \name ServerApi — thread-safe: records are staged and applied under
-  /// the internal mutex and made durable through the group-commit
-  /// coordinator, so the WAL prefix and the in-memory state can never
-  /// interleave two callers' transactions.
+  /// \name ServerApi — thread-safe.
   /// @{
   Result<util::Tainted<cvs::ServerReply>> Transact(uint32_t user,
                                     const std::vector<cvs::FileOp>& ops) override;
@@ -77,16 +91,21 @@ class DurableServer : public cvs::ServerApi {
                                              const std::string& prefix) override;
   Result<util::Tainted<cvs::LogCheckpointReply>> LogCheckpoint(
       uint64_t old_size) override;
-  mtree::TreeParams tree_params() const override;
+  mtree::TreeParams tree_params() const override { return params_; }
   /// @}
 
-  /// Writes a fresh snapshot and truncates the WAL. Waits for in-flight
-  /// group commits to drain first, so the snapshot always contains every
-  /// record the truncation is about to discard.
+  /// Writes a fresh snapshot and truncates the WAL. Gates staging and waits
+  /// for every staged record to apply first, so the snapshot contains every
+  /// record the truncation discards. On error the WAL keeps taking appends
+  /// (unless the truncate emptied it and writing its generation record
+  /// failed; then appends fail and wal_ok() reads false).
   Status Checkpoint();
 
-  /// Number of WAL records accumulated since the last checkpoint.
+  /// Number of transaction records in the WAL since the last checkpoint.
   uint64_t wal_records() const;
+
+  /// The checkpoint generation of the WAL in use.
+  uint64_t generation() const;
 
   /// True while the most recent WAL append and flush both succeeded — the
   /// admin plane's /readyz probe. Flips false when the log stops taking
@@ -101,18 +120,20 @@ class DurableServer : public cvs::ServerApi {
 
  private:
   DurableServer(std::string dir, DurableOptions options,
-                std::unique_ptr<cvs::UntrustedServer> server, WalWriter wal,
-                uint64_t wal_records)
+                std::unique_ptr<cvs::UntrustedServer> server, WalWriter wal)
       : dir_(std::move(dir)),
         options_(options),
+        params_(server->tree_params()),
         server_(std::move(server)),
-        wal_(std::move(wal)),
-        wal_records_(wal_records) {}
+        wal_(std::move(wal)) {}
 
-  /// Stages `record` in the WAL buffer under mu_ and returns its commit
-  /// sequence number (1-based, dense: every staged record gets the next
-  /// number, so [1, appended_seq_] is exactly the staged log).
-  Result<uint64_t> StageRecord(const Bytes& record);
+  /// Stages `record` in the WAL buffer under mu_ (waiting while a
+  /// checkpoint gates staging) and returns its commit sequence number
+  /// (1-based, dense: [1, appended_seq_] is exactly the staged log). Sets
+  /// *checkpoint when this record carried the WAL past its bound: the
+  /// gate is now closed, and the caller must run CheckpointGated after its
+  /// apply turn.
+  Result<uint64_t> StageRecord(const Bytes& record, bool* checkpoint);
 
   /// Blocks until the record with sequence number `seq` is durable (its
   /// covering Flush returned OK), electing this thread flush leader when
@@ -123,38 +144,53 @@ class DurableServer : public cvs::ServerApi {
   Status WaitDurable(uint64_t seq);
   Status WaitDurableImpl(uint64_t seq);
 
-  /// Runs `apply` (which must touch server_ only) when `seq`'s turn in the
-  /// apply order comes up, then passes the turn on. Called for FAILED
-  /// sequence numbers too — with apply == nullptr — so the turn always
-  /// advances.
+  /// One logged request end to end: stage, wait durable, apply in order
+  /// (`apply` touches server_ only), then run the checkpoint this record
+  /// triggered, if any.
   template <typename Fn>
-  auto ApplyInOrder(uint64_t seq, Fn apply) {
-    util::MutexLock lock(&mu_);
-    while (apply_next_seq_ != seq) apply_cv_.Wait(&mu_);
-    auto result = apply();
-    ++apply_next_seq_;
-    apply_cv_.SignalAll();
-    return result;
-  }
-  void SkipApplyTurn(uint64_t seq);
+  auto Execute(const Bytes& record, Fn apply) -> decltype(apply());
+
+  /// Waits for `seq`'s turn in the apply order, runs `apply` unless it is
+  /// null (a failed record still passes its turn on), and passes the turn
+  /// on. The wait for the turn is charged to the request's queue delay.
+  template <typename Fn>
+  void TakeApplyTurn(uint64_t seq, Fn apply);
+
+  /// The checkpoint itself, with staging gated by the caller: drains the
+  /// apply order, writes the snapshot, truncates the WAL, reopens the gate.
+  Status CheckpointGated() TCVS_REQUIRES(mu_);
+  /// Snapshot of generation `generation` + WAL truncate (no gating).
+  Status WriteCheckpoint(uint64_t generation) TCVS_REQUIRES(mu_);
+  /// Truncates the WAL and starts it with a `generation` record.
+  Status ResetWal(uint64_t generation) TCVS_REQUIRES(mu_);
 
   std::string dir_;
   DurableOptions options_;
-  /// Serializes WAL staging + apply (and snapshotting) across the server's
-  /// worker threads. Leaf lock: nothing else is acquired while held
-  /// (gc_mu_ may be held when acquiring mu_, never the reverse).
+  /// The tree geometry; immutable, so read without a lock.
+  const mtree::TreeParams params_;
+  /// Serializes WAL staging, the apply order, and checkpoints. Leaf lock:
+  /// nothing else is acquired while held (gc_mu_ is released before the
+  /// flush leader takes mu_).
   mutable util::Mutex mu_{"storage.durable.apply"};
   /// Set once at construction, never reassigned; the pointee is mutated
   /// only under mu_ (UntrustedServer itself is single-threaded).
   std::unique_ptr<cvs::UntrustedServer> server_ TCVS_PT_GUARDED_BY(mu_);
   WalWriter wal_ TCVS_GUARDED_BY(mu_);
+  uint64_t wal_generation_ TCVS_GUARDED_BY(mu_) = 0;
   uint64_t wal_records_ TCVS_GUARDED_BY(mu_) = 0;
+  uint64_t wal_bytes_ TCVS_GUARDED_BY(mu_) = 0;
+  /// wal_bytes_ at which the next online checkpoint runs: the bound, or
+  /// one more bound past the size a failed checkpoint left.
+  uint64_t checkpoint_at_ TCVS_GUARDED_BY(mu_) = kWalCheckpointBytes;
+  /// While true, StageRecord waits on apply_cv_: a checkpoint is due or
+  /// running.
+  bool checkpointing_ TCVS_GUARDED_BY(mu_) = false;
 
-  /// Highest staged commit sequence number. Written under mu_ (staging is
-  /// serialized); atomic so the flush leader can read it without mu_.
-  std::atomic<uint64_t> appended_seq_{0};
-  /// Next sequence number allowed to apply; guarded by mu_.
+  /// Highest staged commit sequence number.
+  uint64_t appended_seq_ TCVS_GUARDED_BY(mu_) = 0;
+  /// Next sequence number allowed to apply.
   uint64_t apply_next_seq_ TCVS_GUARDED_BY(mu_) = 1;
+  /// Signalled whenever the apply turn advances or the staging gate opens.
   util::CondVar apply_cv_;
 
   /// Transactions currently inside Transact/List — the leader skips the

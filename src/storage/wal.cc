@@ -32,6 +32,16 @@ const uint32_t* CrcTable() {
   return table;
 }
 
+// The record framing: u32 LE length, u32 LE CRC-32 of the payload.
+void EncodeFrameHeader(const Bytes& record, uint8_t header[8]) {
+  const uint32_t len = static_cast<uint32_t>(record.size());
+  const uint32_t crc = Crc32(record);
+  for (int i = 0; i < 4; ++i) header[i] = static_cast<uint8_t>(len >> (8 * i));
+  for (int i = 0; i < 4; ++i) {
+    header[4 + i] = static_cast<uint8_t>(crc >> (8 * i));
+  }
+}
+
 Status Errno(const std::string& what) {
   return Status::IOError(what + ": " + std::strerror(errno));
 }
@@ -100,17 +110,12 @@ Status WalWriter::AppendNoFlush(const Bytes& record) {
                                           .GetCounter("storage.wal.bytes_total");
   appends->Increment();
   bytes->Increment(8 + record.size());
-  uint8_t header[8];
-  uint32_t len = static_cast<uint32_t>(record.size());
-  uint32_t crc = Crc32(record);
-  for (int i = 0; i < 4; ++i) header[i] = static_cast<uint8_t>(len >> (8 * i));
-  for (int i = 0; i < 4; ++i) {
-    header[4 + i] = static_cast<uint8_t>(crc >> (8 * i));
-  }
   uint64_t torn_at = 0;
   if (util::FaultInjector::Instance().ShouldFail(kFaultWalTorn, &torn_at)) {
     // Crash mid-append: only the first `torn_at` bytes of the framed record
     // reach the file, exactly the tail a power cut leaves behind.
+    uint8_t header[8];
+    EncodeFrameHeader(record, header);
     Bytes framed(header, header + 8);
     framed.insert(framed.end(), record.begin(), record.end());
     size_t cut = static_cast<size_t>(torn_at) < framed.size()
@@ -120,6 +125,12 @@ Status WalWriter::AppendNoFlush(const Bytes& record) {
     std::fflush(file_);
     return Status::IOError("fault injected: " + std::string(kFaultWalTorn));
   }
+  return WriteFramed(record);
+}
+
+Status WalWriter::WriteFramed(const Bytes& record) {
+  uint8_t header[8];
+  EncodeFrameHeader(record, header);
   if (std::fwrite(header, 1, 8, file_) != 8) return Errno("wal write header");
   if (!record.empty() &&
       std::fwrite(record.data(), 1, record.size(), file_) != record.size()) {
@@ -129,24 +140,48 @@ Status WalWriter::AppendNoFlush(const Bytes& record) {
 }
 
 Status WalWriter::Flush() {
+  TCVS_RETURN_NOT_OK(Push());
+  return sync_handle().Run();
+}
+
+Status WalWriter::Push() {
   if (file_ == nullptr) return Status::FailedPrecondition("wal closed");
   if (std::fflush(file_) != 0) return Errno("wal flush");
-  if (sync_) {
-    if (util::FaultInjector::Instance().ShouldFail(kFaultWalSyncFail)) {
-      return Status::IOError("fault injected: " +
-                             std::string(kFaultWalSyncFail));
-    }
-    TCVS_SPAN("storage.wal.fsync");
-    static util::Counter* const fsyncs =
-        util::MetricsRegistry::Instance().GetCounter(
-            "storage.wal.fsyncs_total");
-    fsyncs->Increment();
-    if (::fdatasync(::fileno(file_)) != 0) return Errno("wal fdatasync");
-    if (sync_delay_us_ > 0) {
-      // Emulated device round trip (bench knob; see header). Sleeps — like
-      // real I/O, the wait yields the CPU to concurrently staging threads.
-      std::this_thread::sleep_for(std::chrono::microseconds(sync_delay_us_));
-    }
+  return Status::OK();
+}
+
+WalSync WalWriter::sync_handle() const {
+  WalSync handle;
+  handle.fd = file_ == nullptr ? -1 : ::fileno(file_);
+  handle.sync = sync_;
+  handle.delay_us = sync_delay_us_;
+  return handle;
+}
+
+Status WalWriter::Truncate(const Bytes& first_record) {
+  TCVS_RETURN_NOT_OK(Push());
+  if (::ftruncate(::fileno(file_), 0) != 0) return Errno("wal truncate");
+  Status st = WriteFramed(first_record);
+  if (st.ok()) st = Push();
+  if (!st.ok()) Close();
+  return st;
+}
+
+Status WalSync::Run() const {
+  if (!sync) return Status::OK();
+  if (fd < 0) return Status::FailedPrecondition("wal closed");
+  if (util::FaultInjector::Instance().ShouldFail(kFaultWalSyncFail)) {
+    return Status::IOError("fault injected: " + std::string(kFaultWalSyncFail));
+  }
+  TCVS_SPAN("storage.wal.fsync");
+  static util::Counter* const fsyncs =
+      util::MetricsRegistry::Instance().GetCounter("storage.wal.fsyncs_total");
+  fsyncs->Increment();
+  if (::fdatasync(fd) != 0) return Errno("wal fdatasync");
+  if (delay_us > 0) {
+    // Emulated device round trip (bench knob; see header). Sleeps — like
+    // real I/O, the wait yields the CPU to concurrently staging threads.
+    std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
   }
   return Status::OK();
 }
@@ -197,13 +232,25 @@ Result<std::vector<Bytes>> ReadWal(const std::string& path, bool* truncated) {
 }
 
 Status AtomicWriteFile(const std::string& path, const Bytes& contents) {
+  return AtomicWriteFile(path, [&](const ChunkSink& sink) {
+    return contents.empty() ? Status::OK() : sink(contents);
+  });
+}
+
+Status AtomicWriteFile(const std::string& path,
+                       const std::function<Status(const ChunkSink&)>& produce) {
   std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) return Errno("open " + tmp);
-  if (!contents.empty() &&
-      std::fwrite(contents.data(), 1, contents.size(), f) != contents.size()) {
+  Status written = produce([&](const Bytes& chunk) {
+    if (std::fwrite(chunk.data(), 1, chunk.size(), f) != chunk.size()) {
+      return Errno("write " + tmp);
+    }
+    return Status::OK();
+  });
+  if (!written.ok()) {
     std::fclose(f);
-    return Errno("write " + tmp);
+    return written;
   }
   // The contents must be durable BEFORE the rename publishes them: a
   // rename that reaches the disk ahead of the data would replace a good
@@ -223,7 +270,7 @@ Status AtomicWriteFile(const std::string& path, const Bytes& contents) {
     return Errno("rename " + tmp + " -> " + path);
   }
   // The rename itself is a directory update; sync the directory so callers
-  // (DurableServer::Checkpoint truncates the WAL next) can rely on it.
+  // (DurableServer's checkpoint truncates the WAL next) can rely on it.
   const size_t slash = path.rfind('/');
   const std::string dir = slash == std::string::npos ? "."
                           : slash == 0               ? "/"
@@ -250,13 +297,6 @@ Result<Bytes> ReadFileBytes(const std::string& path) {
   }
   std::fclose(f);
   return out;
-}
-
-Status TruncateFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return Errno("truncate " + path);
-  std::fclose(f);
-  return Status::OK();
 }
 
 }  // namespace storage

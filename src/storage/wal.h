@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,19 @@ inline constexpr char kFaultAtomicCrash[] = "storage.atomic.crash";
 /// string — the per-record integrity check of the write-ahead log.
 uint32_t Crc32(const uint8_t* data, size_t len);
 uint32_t Crc32(const Bytes& data);
+
+/// \brief The device-sync half of a WAL flush: fdatasync(2) on the log's
+/// descriptor (plus the emulated delay) in sync mode, a no-op otherwise.
+/// It touches only the descriptor, so the group-commit leader runs it
+/// without the lock that serializes appends, while other transactions
+/// stage their records; the writer must stay open until it returns.
+struct WalSync {
+  int fd = -1;
+  bool sync = false;
+  uint32_t delay_us = 0;
+
+  Status Run() const;
+};
 
 /// \brief Append-only write-ahead log. Record framing:
 ///
@@ -62,8 +76,23 @@ class WalWriter {
   Status AppendNoFlush(const Bytes& record);
 
   /// Flushes buffered data down to the file descriptor (and the device in
-  /// sync mode).
+  /// sync mode): Push(), then sync().Run().
   Status Flush();
+
+  /// Pushes the stdio buffer to the file descriptor (a write(2); the bytes
+  /// survive a process crash but not yet power loss).
+  Status Push();
+
+  /// The device sync covering every byte pushed so far.
+  WalSync sync_handle() const;
+
+  /// Discards every record (ftruncate to zero length through the open
+  /// descriptor) and starts the log again with `first_record`, pushed but
+  /// not synced: the sync of any later append covers it. Not counted as an
+  /// append. If the ftruncate fails the log is untouched and still
+  /// appendable; if writing `first_record` fails the writer closes, since
+  /// an emptied log must not take records without its first one.
+  Status Truncate(const Bytes& first_record);
 
   void Close();
 
@@ -78,6 +107,9 @@ class WalWriter {
   uint32_t emulated_sync_delay_us() const { return sync_delay_us_; }
 
  private:
+  /// Writes one framed record into the stdio buffer.
+  Status WriteFramed(const Bytes& record);
+
   std::FILE* file_ = nullptr;
   bool sync_ = false;
   uint32_t sync_delay_us_ = 0;
@@ -88,17 +120,24 @@ class WalWriter {
 /// reported via `truncated`).
 Result<std::vector<Bytes>> ReadWal(const std::string& path, bool* truncated);
 
+/// Receives a file's contents one chunk at a time.
+using ChunkSink = std::function<Status(const Bytes& chunk)>;
+
 /// \brief Atomically and durably replaces `path` with `contents`: write
 /// `path`.tmp, fsync it, rename it over `path`, fsync the directory. After
 /// an OK return the new contents survive power loss; after a crash at any
 /// point `path` holds either the old or the new contents, never a mix.
 Status AtomicWriteFile(const std::string& path, const Bytes& contents);
 
+/// \brief AtomicWriteFile for contents too large to hold in memory at once:
+/// `produce` writes them chunk by chunk into the temp file through the sink
+/// it is handed. An error from `produce` (or the sink) aborts the replace
+/// and leaves `path` untouched.
+Status AtomicWriteFile(const std::string& path,
+                       const std::function<Status(const ChunkSink&)>& produce);
+
 /// \brief Reads an entire file. NotFound when it does not exist.
 Result<Bytes> ReadFileBytes(const std::string& path);
-
-/// \brief Truncates a file to zero length (creating it if absent).
-Status TruncateFile(const std::string& path);
 
 }  // namespace storage
 }  // namespace tcvs

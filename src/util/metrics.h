@@ -38,7 +38,7 @@ namespace util {
 ///   hits->Increment();
 /// \endcode
 ///
-/// Lock ranking: subsystem locks (serve `mu_`/`queue_mu_`, DurableServer
+/// Lock ranking: subsystem locks (the serve reply cache `mu_`, DurableServer
 /// `mu_`) may be held while touching metrics; the registry lock and the
 /// per-metric locks are LEAVES — no metrics code calls back into any
 /// subsystem, so the ordering `subsystem lock → registry mu_ → metric mu_`

@@ -31,6 +31,8 @@ class Writer {
 
   const Bytes& buffer() const { return buf_; }
   Bytes Take() { return std::move(buf_); }
+  /// Empties the buffer, keeping its capacity (reuse as a chunk buffer).
+  void Clear() { buf_.clear(); }
 
  private:
   Bytes buf_;

@@ -83,6 +83,65 @@ Result<util::JsonValue> FetchVarz(uint16_t admin_port) {
   return root;
 }
 
+uint64_t CounterValue(const std::string& name) {
+  auto snap = util::MetricsRegistry::Instance().Snapshot();
+  auto it = snap.counters.find(name);
+  return it == snap.counters.end() ? 0 : it->second;
+}
+
+class Latch {
+ public:
+  void Open() {
+    util::MutexLock lock(&mu_);
+    open_ = true;
+    cv_.SignalAll();
+  }
+  void Wait() {
+    util::MutexLock lock(&mu_);
+    while (!open_) cv_.Wait(&mu_);
+  }
+
+ private:
+  util::Mutex mu_;
+  util::CondVar cv_;
+  bool open_ TCVS_GUARDED_BY(mu_) = false;
+};
+
+/// Pass-through to a repository; after ParkNextTransact(), the next
+/// Transact opens `entered` and parks until `release` opens.
+class ParkingServer : public cvs::ServerApi {
+ public:
+  explicit ParkingServer(cvs::ServerApi* inner) : inner_(inner) {}
+
+  void ParkNextTransact() { park_.store(true); }
+  Latch entered;
+  Latch release;
+
+  Result<util::Tainted<cvs::ServerReply>> Transact(
+      uint32_t user, const std::vector<cvs::FileOp>& ops) override {
+    if (park_.exchange(false)) {
+      entered.Open();
+      release.Wait();
+    }
+    return inner_->Transact(user, ops);
+  }
+  Result<util::Tainted<cvs::ListReply>> List(
+      uint32_t user, const std::string& prefix) override {
+    return inner_->List(user, prefix);
+  }
+  Result<util::Tainted<cvs::LogCheckpointReply>> LogCheckpoint(
+      uint64_t old_size) override {
+    return inner_->LogCheckpoint(old_size);
+  }
+  mtree::TreeParams tree_params() const override {
+    return inner_->tree_params();
+  }
+
+ private:
+  cvs::ServerApi* const inner_;
+  std::atomic<bool> park_{false};
+};
+
 /// One server + worker pool serving an in-memory repository for the
 /// duration of a test, shut down via RPC in TearDown.
 class ConcurrentServerTest : public ::testing::Test {
@@ -99,7 +158,7 @@ class ConcurrentServerTest : public ::testing::Test {
     options.num_threads = kClients;
     serve_thread_ = std::thread(
         [l = std::move(listener).ValueOrDie(), this, options]() mutable {
-          serve_status_ = rpc::Serve(&l, &repo_, options);
+          serve_status_ = rpc::Serve(&l, &serialized_, options);
         });
   }
 
@@ -113,6 +172,8 @@ class ConcurrentServerTest : public ::testing::Test {
   }
 
   cvs::UntrustedServer repo_;
+  ParkingServer parking_{&repo_};
+  cvs::SerializedServer serialized_{&parking_};
   uint16_t port_ = 0;
   std::thread serve_thread_;
   Status serve_status_ = Status::OK();
@@ -312,6 +373,92 @@ TEST_F(ConcurrentServerTest, LostRepliesReplayIdempotentlyUnderConcurrency) {
   for (const auto& s : states) sum_lctr += s.lctr;
   EXPECT_EQ(sum_lctr, static_cast<uint64_t>(kClients * kIterations));
   EXPECT_TRUE(cvs::VerifyingClient::SyncCheck(states).ok());
+}
+
+/// A transport that sends each Transact over TWO connections under one
+/// request id, the second copy while the first is parked in the backend and
+/// after it reached the serve loop's in-flight wait, then hands back the
+/// first reply. Keeps both reply frames.
+class TwinTransport : public cvs::ServerApi {
+ public:
+  TwinTransport(uint16_t port, ParkingServer* parking)
+      : port_(port), parking_(parking) {}
+
+  Result<util::Tainted<cvs::ServerReply>> Transact(
+      uint32_t user, const std::vector<cvs::FileOp>& ops) override {
+    rpc::RpcRequest req;
+    req.type = rpc::RpcType::kTransact;
+    req.user = user;
+    req.ops = ops;
+    req.request_id = 0x7717;
+    const Bytes wire = req.Serialize();
+    TCVS_ASSIGN_OR_RETURN(net::TcpConnection first,
+                          net::TcpConnection::Connect("127.0.0.1", port_, 2000));
+    TCVS_ASSIGN_OR_RETURN(net::TcpConnection second,
+                          net::TcpConnection::Connect("127.0.0.1", port_, 2000));
+    const uint64_t waits_before =
+        CounterValue("rpc.serve.reply_cache.inflight_waits_total");
+    parking_->ParkNextTransact();
+    TCVS_RETURN_NOT_OK(first.SendFrame(wire));
+    parking_->entered.Wait();  // The first copy is executing.
+    TCVS_RETURN_NOT_OK(second.SendFrame(wire));
+    // Bounded, so a serve loop without the wait fails the test, not hangs.
+    const uint64_t deadline_us = util::MonotonicMicros() + 5'000'000;
+    while (CounterValue("rpc.serve.reply_cache.inflight_waits_total") ==
+               waits_before &&
+           util::MonotonicMicros() < deadline_us) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    parking_->release.Open();
+    TCVS_ASSIGN_OR_RETURN(Bytes first_reply, first.ReceiveFrame());
+    TCVS_ASSIGN_OR_RETURN(Bytes second_reply, second.ReceiveFrame());
+    replies_ = {first_reply, second_reply};
+    TCVS_ASSIGN_OR_RETURN(util::Tainted<rpc::RpcResponse> parsed,
+                          rpc::RpcResponse::Deserialize(first_reply));
+    TCVS_ASSIGN_OR_RETURN(rpc::RpcResponse resp,
+                          rpc::CheckResponseEnvelope(std::move(parsed)));
+    TCVS_RETURN_NOT_OK(resp.ToStatus());
+    return cvs::ServerReply::Deserialize(resp.payload);
+  }
+  Result<util::Tainted<cvs::ListReply>> List(uint32_t,
+                                             const std::string&) override {
+    return Status::Unimplemented("twin transport: transact only");
+  }
+  Result<util::Tainted<cvs::LogCheckpointReply>> LogCheckpoint(
+      uint64_t) override {
+    return Status::Unimplemented("twin transport: transact only");
+  }
+  mtree::TreeParams tree_params() const override { return {}; }
+
+  const std::vector<Bytes>& replies() const { return replies_; }
+
+ private:
+  uint16_t port_;
+  ParkingServer* parking_;
+  std::vector<Bytes> replies_;
+};
+
+TEST_F(ConcurrentServerTest, DuplicateInFlightRequestIdExecutesOnce) {
+  // The reply cache has no entry for a request that is still executing, so
+  // only the in-flight claim stops its concurrent duplicate from executing
+  // a second time: both copies must get the one execution's reply.
+  TwinTransport twin(port_, &parking_);
+  cvs::VerifyingClient alice(1, &twin);
+  auto rev = alice.Commit("twin/file", "v1", 0);
+  ASSERT_TRUE(rev.ok()) << rev.status().ToString();
+  EXPECT_EQ(*rev, 1u);
+  ASSERT_EQ(twin.replies().size(), 2u);
+  EXPECT_EQ(twin.replies()[0], twin.replies()[1]);
+
+  auto remote =
+      rpc::RemoteServer::Connect("127.0.0.1", port_, FastRetryOptions());
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  cvs::VerifyingClient bob(2, remote->get());
+  ASSERT_TRUE(bob.Commit("twin/other", "v1", 0).ok());
+  EXPECT_EQ(repo_.ctr(), 2u);
+  EXPECT_EQ(alice.state().lctr + bob.state().lctr, repo_.ctr());
+  EXPECT_TRUE(
+      cvs::VerifyingClient::SyncCheck({alice.state(), bob.state()}).ok());
 }
 
 TEST_F(ConcurrentServerTest, ConcurrentStatsSnapshotsStayConsistent) {
@@ -687,7 +834,7 @@ class ConcurrentServeLoopTest : public ::testing::Test {
     options.num_threads = kWorkers;
     serve_thread_ = std::thread(
         [l = std::move(listener).ValueOrDie(), this, options]() mutable {
-          serve_status_ = rpc::Serve(&l, &repo_, options);
+          serve_status_ = rpc::Serve(&l, &serialized_, options);
           returned_us_ = util::MonotonicMicros();
         });
   }
@@ -714,6 +861,7 @@ class ConcurrentServeLoopTest : public ::testing::Test {
   }
 
   cvs::UntrustedServer repo_;
+  cvs::SerializedServer serialized_{&repo_};
   uint16_t port_ = 0;
   std::thread serve_thread_;
   Status serve_status_ = Status::OK();

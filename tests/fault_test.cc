@@ -322,7 +322,7 @@ class FaultedRepository : public FaultTest {
     port_ = listener->port();
     server_thread_ = std::thread(
         [l = std::move(listener).ValueOrDie(), this]() mutable {
-          (void)rpc::Serve(&l, &repo_);
+          (void)rpc::Serve(&l, &serialized_);
         });
   }
 
@@ -335,6 +335,7 @@ class FaultedRepository : public FaultTest {
   }
 
   cvs::UntrustedServer repo_;
+  cvs::SerializedServer serialized_{&repo_};
   uint16_t port_ = 0;
   std::thread server_thread_;
 };

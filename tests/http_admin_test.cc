@@ -61,16 +61,17 @@ net::HttpAdminServer::Options AdminOptions() {
 TEST(HttpAdminTest, ConcurrentScrapesDoNotPerturbServing) {
   util::FaultInjector::Instance().Reset();
   cvs::UntrustedServer repo;
+  cvs::SerializedServer serialized(&repo);
   auto listener = net::TcpListener::Bind(0);
   ASSERT_TRUE(listener.ok());
   const uint16_t rpc_port = listener->port();
   Status serve_status = Status::OK();
-  std::thread serve_thread(
-      [l = std::move(listener).ValueOrDie(), &repo, &serve_status]() mutable {
-        rpc::ServeOptions options;
-        options.num_threads = 4;
-        serve_status = rpc::Serve(&l, &repo, options);
-      });
+  std::thread serve_thread([l = std::move(listener).ValueOrDie(), &serialized,
+                            &serve_status]() mutable {
+    rpc::ServeOptions options;
+    options.num_threads = 4;
+    serve_status = rpc::Serve(&l, &serialized, options);
+  });
 
   auto admin = net::HttpAdminServer::Start(AdminOptions());
   ASSERT_TRUE(admin.ok()) << admin.status().ToString();
@@ -273,9 +274,10 @@ class Latch {
   bool open_ TCVS_GUARDED_BY(mu_) = false;
 };
 
-/// An honest repository whose first Transact parks until released. rpc::Serve
-/// runs Transact under its execution lock (`rpc.serve.execute`), so while it
-/// is parked that lock is held and every other RPC queues behind it.
+/// An honest repository whose first Transact parks until released. Served
+/// through cvs::SerializedServer, Transact runs under that decorator's lock
+/// (`cvs.server.serialized`), so while it is parked that lock is held and
+/// every other RPC queues behind it.
 class BlockingServer : public cvs::ServerApi {
  public:
   Latch entered;
@@ -306,24 +308,26 @@ class BlockingServer : public cvs::ServerApi {
   std::atomic<bool> blocked_once_{false};
 };
 
-// While a commit holds the execution lock, every observability endpoint
-// still answers 200 within its deadline — a stats poll can never stall
-// commits, and a stalled commit can never blind the operator. A second
-// client's RPC, meanwhile, provably waits on the lock. Once released, both
-// replies verify and the two clients' registers sync up.
+// While a commit holds the execution lock — the single-threaded backend's
+// cvs::SerializedServer lock, `cvs.server.serialized` — every observability
+// endpoint still answers 200 within its deadline: a stats poll can never
+// stall commits, and a stalled commit can never blind the operator. A
+// second client's RPC, meanwhile, provably waits on the lock. Once
+// released, both replies verify and the two clients' registers sync up.
 TEST(HttpAdminTest, ConcurrentReadsNeverWaitOnTheExecutionLock) {
   util::FaultInjector::Instance().Reset();
   BlockingServer repo;
+  cvs::SerializedServer serialized(&repo);
   auto listener = net::TcpListener::Bind(0);
   ASSERT_TRUE(listener.ok());
   const uint16_t rpc_port = listener->port();
   Status serve_status = Status::OK();
-  std::thread serve_thread(
-      [l = std::move(listener).ValueOrDie(), &repo, &serve_status]() mutable {
-        rpc::ServeOptions options;
-        options.num_threads = 4;
-        serve_status = rpc::Serve(&l, &repo, options);
-      });
+  std::thread serve_thread([l = std::move(listener).ValueOrDie(), &serialized,
+                            &serve_status]() mutable {
+    rpc::ServeOptions options;
+    options.num_threads = 4;
+    serve_status = rpc::Serve(&l, &serialized, options);
+  });
   auto admin = net::HttpAdminServer::Start(AdminOptions());
   ASSERT_TRUE(admin.ok()) << admin.status().ToString();
   net::RegisterStandardEndpoints(admin->get(), net::AdminEndpointOptions{});

@@ -5,6 +5,7 @@
 #include <string>
 #include <tuple>
 
+#include "crypto/sha256.h"
 #include "mtree/btree.h"
 #include "mtree/vo.h"
 #include "util/audit.h"
@@ -697,6 +698,34 @@ TEST(SnapshotTest, RoundTripPreservesRootDigest) {
   auto read = VerifyPointRead(tree.root_digest(), NumKey(10),
                               restored->ProvePoint(NumKey(10)));
   EXPECT_TRUE(read.ok());
+}
+
+// The snapshot bytes of a small seeded tree, pinned: Serialize() and the
+// streamed SerializeTo() must keep writing exactly these bytes, or every
+// data directory on disk stops loading.
+TEST(SnapshotTest, SerializedBytesArePinned) {
+  TreeParams params{.max_leaf_entries = 4, .max_internal_keys = 4};
+  MerkleBTree tree(params);
+  util::Rng rng(56);
+  for (int i = 0; i < 60; ++i) {
+    tree.Upsert(NumKey(rng.Uniform(40)), rng.RandomBytes(1 + rng.Uniform(12)));
+  }
+  for (int i = 0; i < 10; ++i) {
+    bool found;
+    tree.Delete(NumKey(rng.Uniform(40)), &found);
+  }
+  const Bytes snapshot = tree.Serialize();
+  EXPECT_EQ(snapshot.size(), 863u);
+  EXPECT_EQ(util::HexEncode(crypto::Sha256::Hash(snapshot)),
+            "d83e365300c6c3945dee862be8673b20a14480d40042cd2fa72e80e5ca2e3e92");
+
+  // Large enough that the streamed writer hands out several chunks.
+  MerkleBTree large(params);
+  for (int i = 0; i < 400; ++i) large.Upsert(NumKey(i), rng.RandomBytes(1024));
+  const Bytes large_snapshot = large.Serialize();
+  EXPECT_EQ(large_snapshot.size(), 422294u);
+  EXPECT_EQ(util::HexEncode(crypto::Sha256::Hash(large_snapshot)),
+            "cfca3c6b3559f21536d9b6d31e4c5751ba9818ed82f30ab592308f3eba6a0820");
 }
 
 TEST(SnapshotTest, EmptyTreeRoundTrip) {

@@ -203,9 +203,10 @@ TEST(ProfilerTest, SignalSafetySmokeWhileServingWithFaults) {
   ASSERT_TRUE(listener.ok());
   const uint16_t port = listener->port();
   cvs::UntrustedServer repo;
+  cvs::SerializedServer serialized(&repo);
   std::thread server_thread(
-      [l = std::move(listener).ValueOrDie(), &repo]() mutable {
-        (void)rpc::Serve(&l, &repo);
+      [l = std::move(listener).ValueOrDie(), &serialized]() mutable {
+        (void)rpc::Serve(&l, &serialized);
       });
 
   // Drop the connection after every 7th executed request WITHOUT replying:

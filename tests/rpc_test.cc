@@ -216,7 +216,7 @@ class ServedRepository : public ::testing::Test {
     port_ = listener->port();
     server_thread_ = std::thread(
         [l = std::move(listener).ValueOrDie(), this]() mutable {
-          (void)rpc::Serve(&l, &repo_);
+          (void)rpc::Serve(&l, &serialized_);
         });
   }
 
@@ -227,6 +227,7 @@ class ServedRepository : public ::testing::Test {
   }
 
   cvs::UntrustedServer repo_;
+  cvs::SerializedServer serialized_{&repo_};
   uint16_t port_ = 0;
   std::thread server_thread_;
 };
@@ -357,9 +358,11 @@ TEST(RpcParamsTest, ServerReportingFanoutBelowTwoIsRejectedAtConnect) {
   ASSERT_TRUE(listener.ok());
   const uint16_t port = listener->port();
   FanoutOneServer server;
-  std::thread serve([l = std::move(listener).ValueOrDie(), &server]() mutable {
-    (void)rpc::Serve(&l, &server);
-  });
+  cvs::SerializedServer serialized(&server);
+  std::thread serve(
+      [l = std::move(listener).ValueOrDie(), &serialized]() mutable {
+        (void)rpc::Serve(&l, &serialized);
+      });
 
   auto remote = rpc::RemoteServer::Connect("127.0.0.1", port);
   EXPECT_TRUE(remote.status().IsInvalidArgument()) << remote.status().ToString();

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -658,6 +659,259 @@ TEST(DurableServerTest, CorruptSnapshotRejected) {
   bad[2] ^= 0xFF;  // Corrupt the magic.
   ASSERT_TRUE(AtomicWriteFile(dir.str() + "/snapshot.bin", bad).ok());
   EXPECT_FALSE(DurableServer::Open(dir.str(), params).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Checkpoint crash points
+// ---------------------------------------------------------------------------
+
+/// What a recovery must reproduce: root digest, counter, and log size.
+struct RepoState {
+  crypto::Digest root;
+  uint64_t ctr = 0;
+  uint64_t log_size = 0;
+};
+
+RepoState StateOf(DurableServer* server) {
+  const cvs::UntrustedServer* repo = server->server();
+  return {repo->tree().root_digest(), repo->ctr(), repo->log().size()};
+}
+
+void ExpectSameState(const RepoState& got, const RepoState& want) {
+  EXPECT_EQ(got.root, want.root);
+  EXPECT_EQ(got.ctr, want.ctr);
+  EXPECT_EQ(got.log_size, want.log_size);
+}
+
+void CommitFiles(DurableServer* server, int first, int count) {
+  for (int i = first; i < first + count; ++i) {
+    ASSERT_TRUE(server
+                    ->Transact(1, {{cvs::FileOp::Kind::kCommit,
+                                    "f" + std::to_string(i), "v", 0}})
+                    .ok());
+  }
+}
+
+/// The checkpoint sequence is: stream snapshot.bin.tmp, rename it over
+/// snapshot.bin, truncate wal.log, write its generation record. Each test
+/// stops the sequence at one point (a fault, or the files a crash there
+/// leaves) and reopens: the recovered state must equal the pre-crash one.
+class CheckpointCrashTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    util::FaultInjector::Instance().Reset();
+    auto server = DurableServer::Open(dir_.str(), params_);
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    server_ = std::move(server).ValueOrDie();
+    CommitFiles(server_.get(), 0, 5);
+    before_ = StateOf(server_.get());
+    auto wal = ReadFileBytes(WalFile());
+    ASSERT_TRUE(wal.ok());
+    wal_before_ = *wal;
+  }
+  void TearDown() override { util::FaultInjector::Instance().Reset(); }
+
+  std::string WalFile() const { return dir_.str() + "/wal.log"; }
+
+  /// Drops the server (a crash: nothing runs on the way down that a kill
+  /// would skip, since every record was already pushed) and reopens.
+  std::unique_ptr<DurableServer> Reopen() {
+    server_.reset();
+    auto server = DurableServer::Open(dir_.str(), params_);
+    EXPECT_TRUE(server.ok()) << server.status().ToString();
+    return server.ok() ? std::move(server).ValueOrDie() : nullptr;
+  }
+
+  TempDir dir_;
+  mtree::TreeParams params_;
+  std::unique_ptr<DurableServer> server_;
+  RepoState before_;
+  Bytes wal_before_;
+};
+
+TEST_F(CheckpointCrashTest, BeforeSnapshotRename) {
+  util::FaultInjector::Instance().Arm(kFaultAtomicCrash,
+                                      util::FaultSpec::OneShot());
+  const uint64_t failures_before =
+      CounterValue("storage.checkpoint.failures_total");
+  EXPECT_TRUE(server_->Checkpoint().IsIOError());
+  EXPECT_EQ(CounterValue("storage.checkpoint.failures_total"),
+            failures_before + 1);
+  // The failed checkpoint left the WAL appendable.
+  EXPECT_TRUE(server_->wal_ok());
+  CommitFiles(server_.get(), 5, 1);
+  const RepoState after_failure = StateOf(server_.get());
+  auto reopened = Reopen();
+  ASSERT_NE(reopened, nullptr);
+  ExpectSameState(StateOf(reopened.get()), after_failure);
+  EXPECT_EQ(reopened->generation(), 0u);
+}
+
+TEST_F(CheckpointCrashTest, AfterSnapshotRenameBeforeWalTruncate) {
+  ASSERT_TRUE(server_->Checkpoint().ok());
+  server_.reset();
+  // The crash left the renamed snapshot beside the untruncated log.
+  ASSERT_TRUE(AtomicWriteFile(WalFile(), wal_before_).ok());
+  auto reopened = Reopen();
+  ASSERT_NE(reopened, nullptr);
+  ExpectSameState(StateOf(reopened.get()), before_);  // Not replayed twice.
+  EXPECT_EQ(reopened->generation(), 1u);
+  EXPECT_EQ(reopened->wal_records(), 0u);
+}
+
+TEST_F(CheckpointCrashTest, AfterWalTruncateBeforeGenerationRecord) {
+  ASSERT_TRUE(server_->Checkpoint().ok());
+  server_.reset();
+  ASSERT_TRUE(AtomicWriteFile(WalFile(), Bytes{}).ok());
+  auto reopened = Reopen();
+  ASSERT_NE(reopened, nullptr);
+  ExpectSameState(StateOf(reopened.get()), before_);
+  // The log restarts at the snapshot's generation and takes appends.
+  EXPECT_EQ(reopened->generation(), 1u);
+  CommitFiles(reopened.get(), 5, 2);
+  const RepoState grown = StateOf(reopened.get());
+  server_ = std::move(reopened);
+  auto again = Reopen();
+  ASSERT_NE(again, nullptr);
+  ExpectSameState(StateOf(again.get()), grown);
+}
+
+TEST_F(CheckpointCrashTest, AfterGenerationRecord) {
+  ASSERT_TRUE(server_->Checkpoint().ok());
+  EXPECT_EQ(server_->generation(), 1u);
+  auto reopened = Reopen();
+  ASSERT_NE(reopened, nullptr);
+  ExpectSameState(StateOf(reopened.get()), before_);
+  EXPECT_EQ(reopened->generation(), 1u);
+}
+
+TEST_F(CheckpointCrashTest, FailedTruncateThenMoreAppends) {
+  // A truncate that failed after the snapshot rename leaves the server
+  // appending to the old-generation log: recovery must skip exactly the
+  // records the snapshot holds and replay the ones appended after it.
+  ASSERT_TRUE(server_->Checkpoint().ok());
+  CommitFiles(server_.get(), 5, 2);
+  const RepoState grown = StateOf(server_.get());
+  server_.reset();
+  auto new_wal = ReadWal(WalFile(), nullptr);
+  ASSERT_TRUE(new_wal.ok());
+  ASSERT_EQ(new_wal->size(), 3u);  // Generation record + 2 transactions.
+  auto full_new_wal = ReadFileBytes(WalFile());
+  ASSERT_TRUE(full_new_wal.ok());
+  Bytes old_generation_wal = wal_before_;
+  const size_t header_frame = 8 + (*new_wal)[0].size();
+  old_generation_wal.insert(old_generation_wal.end(),
+                            full_new_wal->begin() + header_frame,
+                            full_new_wal->end());
+  ASSERT_TRUE(AtomicWriteFile(WalFile(), old_generation_wal).ok());
+  auto reopened = Reopen();
+  ASSERT_NE(reopened, nullptr);
+  ExpectSameState(StateOf(reopened.get()), grown);
+}
+
+TEST_F(CheckpointCrashTest, TornTailFoldInterruptedAfterRename) {
+  // Open folds a torn tail through the same checkpoint sequence.
+  server_.reset();
+  Bytes torn = wal_before_;
+  torn.insert(torn.end(), {0x10, 0, 0, 0, 1, 2});  // A torn record header.
+  ASSERT_TRUE(AtomicWriteFile(WalFile(), torn).ok());
+  util::FaultInjector::Instance().Arm(kFaultAtomicCrash,
+                                      util::FaultSpec::OneShot());
+  EXPECT_FALSE(DurableServer::Open(dir_.str(), params_).ok());
+  auto folded = Reopen();
+  ASSERT_NE(folded, nullptr);
+  ExpectSameState(StateOf(folded.get()), before_);
+  EXPECT_EQ(folded->generation(), 1u);
+  folded.reset();
+  // A crash after the fold's rename leaves the torn log beside it.
+  ASSERT_TRUE(AtomicWriteFile(WalFile(), torn).ok());
+  auto reopened = Reopen();
+  ASSERT_NE(reopened, nullptr);
+  ExpectSameState(StateOf(reopened.get()), before_);
+}
+
+TEST_F(CheckpointCrashTest, StaleGenerationIsCorruption) {
+  // A log two generations behind its snapshot was never this snapshot's.
+  ASSERT_TRUE(server_->Checkpoint().ok());
+  ASSERT_TRUE(server_->Checkpoint().ok());
+  server_.reset();
+  ASSERT_TRUE(AtomicWriteFile(WalFile(), wal_before_).ok());
+  EXPECT_TRUE(DurableServer::Open(dir_.str(), params_).status().IsCorruption());
+}
+
+// ---------------------------------------------------------------------------
+// Online checkpoints: the WAL bound
+// ---------------------------------------------------------------------------
+
+/// Commits `content` to one of `paths` files round-robin until the WAL has
+/// taken more than the checkpoint bound, calling `after` after each commit.
+template <typename Fn>
+void DriveWalPastBound(DurableServer* server, uint64_t bytes, Fn after) {
+  const std::string content(1 << 20, 'x');
+  constexpr int kPaths = 4;
+  std::vector<uint64_t> revisions(kPaths, 0);
+  uint64_t written = 0;
+  for (int i = 0; written <= bytes; ++i) {
+    const int p = i % kPaths;
+    auto reply = server->Transact(
+        1, {{cvs::FileOp::Kind::kCommit, "big" + std::to_string(p), content,
+             revisions[p]}});
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    ++revisions[p];
+    written += content.size();
+    after();
+  }
+}
+
+TEST(DurableServerTest, OnlineCheckpointKeepsWalWithinBound) {
+  TempDir dir;
+  mtree::TreeParams params;
+  const std::string wal_path = dir.str() + "/wal.log";
+  const uint64_t checkpoints_before =
+      CounterValue("storage.checkpoints_total");
+  RepoState before_close;
+  {
+    auto server = DurableServer::Open(dir.str(), params);
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    constexpr uint64_t kRecordSlack = 2 << 20;  // One 1 MiB record + framing.
+    uint64_t largest = 0;
+    DriveWalPastBound(server->get(), kWalCheckpointBytes + (16 << 20), [&] {
+      const uint64_t size = std::filesystem::file_size(wal_path);
+      largest = std::max(largest, size);
+      ASSERT_LE(size, kWalCheckpointBytes + kRecordSlack);
+    });
+    EXPECT_GT(largest, kWalCheckpointBytes / 2);
+    EXPECT_GT(CounterValue("storage.checkpoints_total"), checkpoints_before);
+    EXPECT_EQ((*server)->generation(), 1u);
+    before_close = StateOf(server->get());
+  }
+  auto reopened = DurableServer::Open(dir.str(), params);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ExpectSameState(StateOf(reopened->get()), before_close);
+}
+
+TEST_F(WalFaultTest, FailedOnlineCheckpointStillRepliesAndKeepsWalAppendable) {
+  TempDir dir;
+  mtree::TreeParams params;
+  const uint64_t failures_before =
+      CounterValue("storage.checkpoint.failures_total");
+  util::FaultInjector::Instance().Arm(kFaultAtomicCrash,
+                                      util::FaultSpec::OneShot());
+  RepoState before_close;
+  {
+    auto server = DurableServer::Open(dir.str(), params);
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    // Every commit, the one whose checkpoint failed included, replies OK.
+    DriveWalPastBound(server->get(), kWalCheckpointBytes + (4 << 20), [] {});
+    EXPECT_EQ(CounterValue("storage.checkpoint.failures_total"),
+              failures_before + 1);
+    EXPECT_EQ((*server)->generation(), 0u);
+    EXPECT_TRUE((*server)->wal_ok());
+    before_close = StateOf(server->get());
+  }
+  auto reopened = DurableServer::Open(dir.str(), params);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ExpectSameState(StateOf(reopened->get()), before_close);
 }
 
 }  // namespace

@@ -51,7 +51,10 @@
 #                 perfbench checkout_hot (seed 1, 5 s, untraced) must
 #                 report correct=true at >= 1,500 ops/s — 33x the ~45 of a
 #                 reply stalled on Nagle + delayed ACK, 10x under the
-#                 ~15,000 of the unstalled stack
+#                 ~15,000 of the unstalled stack — and perfbench
+#                 commit_durable (seed 1, 5 s, traced) must report
+#                 correct=true, 0 failed, and more than one WAL append per
+#                 fsync: durable commits of different clients are batched
 #   7. soak       seeded Byzantine campaign smoke: a short randomized
 #                 campaign (TCVS_SOAK_ROUNDS scenarios, default 40 — crank
 #                 it up for nightly runs) must hold every harness invariant
@@ -305,6 +308,19 @@ ops = result["metrics"]["ops_per_s"]["value"]
 assert ops >= 1500, f"perfbench checkout_hot: {ops:.0f} ops/s < 1500 floor"
 print(f"perf: checkout_hot {ops:.0f} ops/s >= 1500 floor")
 PYEOF
+    # Group commit through the deployed stack: concurrent clients' durable
+    # commits must share fsyncs, not take one each.
+    python3 perfbench/run.py --workload commit_durable --seed 1 --seconds 5 \
+        --trace 1 > "$out" || break
+    python3 - "$out" <<'PYEOF' || break
+import json, sys
+result = json.loads(open(sys.argv[1]).read().strip().splitlines()[-1])
+assert result["correct"], "perfbench commit_durable: correct=false"
+assert result["failed"] == 0, f"perfbench commit_durable: {result['failed']} failed"
+batch = result["metrics"]["storage.wal.appends_per_fsync"]["value"]
+assert batch > 1, f"perfbench commit_durable: {batch:.2f} appends per fsync, not > 1"
+print(f"perf: commit_durable {batch:.2f} appends per fsync > 1")
+PYEOF
     rc=0
     break
   done
@@ -542,7 +558,7 @@ stage_obs() {
 # counts CPU time, so the load must burn daemon CPU *during* the window or
 # there is nothing to sample. Then hold the plane's whole contract at once:
 # the folded profile parses and names the SHA-256 hash path, /lockz shows
-# recorded waits including the serve loop's locks, the per-method
+# recorded waits including the durable apply lock, the per-method
 # queue/work/fsync decomposition sums to the latency histogram within 10%,
 # `tcvs profile` round-trips /pprofz, and bench_profiler_overhead
 # holds its committed <=3% baseline.
@@ -572,7 +588,7 @@ prof_smoke() {
       break
     fi
     # Chunky payloads so each commit hashes real bytes server-side; four
-    # concurrent committers so the serve execution lock actually contends.
+    # concurrent committers so the durable apply lock actually contends.
     local payload u
     payload=$(head -c 65536 /dev/zero | tr '\0' 'x')
     local pids=()
@@ -610,7 +626,7 @@ assert hot, "no SHA-256/signature frames in the profile:\n" + "\n".join(
 # JSON rendering of a second, shorter window.
 top = json.loads(get("/pprofz?seconds=1&fmt=json"))
 assert top["hz"] > 0 and "top" in top, top.keys()
-# /lockz: the contention profile records waits — the serve loop's named
+# /lockz: the contention profile records waits — the write path's named
 # locks must show up in /varz as lock.* histograms with recorded counts.
 lockz = json.loads(get("/lockz"))
 assert "sites" in lockz and "dropped" in lockz, lockz.keys()
@@ -618,9 +634,11 @@ waited = [s for s in lockz["sites"] if s["total_us"] > 0]
 assert waited, "no wait sites in /lockz under concurrent load"
 varz = json.loads(get("/varz"))
 hists = varz["histograms"]
-execute = hists.get("lock.rpc.serve.execute.contention_us", {})
-assert execute.get("count", 0) > 0, \
-    "serve execution lock shows no contention under 4 concurrent clients"
+# Durable commits of different clients overlap in rpc::Serve; what still
+# serializes them is DurableServer's staging + apply-order lock.
+apply = hists.get("lock.storage.durable.apply.contention_us", {})
+assert apply.get("count", 0) > 0, \
+    "durable apply lock shows no contention under 4 concurrent clients"
 # Queue-delay attribution: per-method queue + work + fsync must equal the
 # served latency histogram's sum within 10% (clamping is the only slack).
 c = varz["counters"]

@@ -1,7 +1,8 @@
 // tcvs_fsck — offline integrity check of a tcvsd data directory.
 //
 // Loads the snapshot, replays the write-ahead log, validates every tree
-// invariant and digest, and prints the resulting root digest and counters.
+// invariant and digest, and prints the checkpoint generation, the resulting
+// root digest and counters.
 // A truncated (torn) WAL tail is reported but is not an error — it is the
 // expected artifact of a crash.
 //
@@ -30,8 +31,20 @@ int main(int argc, char** argv) {
                  wal.status().ToString().c_str());
     return 1;
   }
-  std::printf("wal: %zu valid records%s\n", wal->size(),
-              truncated ? " (torn tail dropped — crash artifact)" : "");
+  if (wal->empty()) {
+    std::printf("wal: empty%s\n",
+                truncated ? " (torn tail dropped — crash artifact)" : "");
+  } else {
+    auto generation = storage::DecodeWalGeneration(wal->front());
+    if (!generation.ok()) {
+      std::fprintf(stderr, "tcvs_fsck: wal: %s\n",
+                   generation.status().ToString().c_str());
+      return 1;
+    }
+    std::printf("wal: generation %llu, %zu valid records%s\n",
+                static_cast<unsigned long long>(*generation), wal->size() - 1,
+                truncated ? " (torn tail dropped — crash artifact)" : "");
+  }
 
   auto server = storage::DurableServer::Open(dir, mtree::TreeParams{});
   if (!server.ok()) {
@@ -51,6 +64,8 @@ int main(int argc, char** argv) {
   std::printf("snapshot+wal recovery: OK\n");
   std::printf("files (incl. internal): %zu\n", tree.size());
   std::printf("tree height           : %zu\n", tree.height());
+  std::printf("checkpoint generation : %llu\n",
+              static_cast<unsigned long long>((*server)->generation()));
   std::printf("transactions (ctr)    : %llu\n",
               static_cast<unsigned long long>((*server)->server()->ctr()));
   std::printf("root digest           : %s\n",

@@ -25,9 +25,11 @@
 // below 2.
 //
 // With --data-dir, the repository is durable: a write-ahead log captures
-// every transaction before it executes and a snapshot is folded on clean
-// shutdown, so a restarted daemon resumes with the identical root digest —
-// clients verifying against their registers never notice. WAL appends
+// every transaction before it executes, and a snapshot is folded in on
+// clean shutdown and whenever the log passes 256 MiB while serving
+// (storage::kWalCheckpointBytes), so a restarted daemon resumes with the
+// identical root digest — clients verifying against their registers never
+// notice. WAL appends
 // fdatasync by default so acknowledged transactions survive power loss;
 // --no-fsync trades that for page-cache-speed appends.
 //
@@ -36,7 +38,9 @@
 // write+fsync covering the whole batch (see ARCHITECTURE.md "Hot paths &
 // batching"). Durability is unchanged — every acknowledged commit was
 // fsynced; the window only trades a bounded latency bump for fewer device
-// syncs. Meaningless without --data-dir, and pointless with --no-fsync:
+// syncs. With the default of 0 concurrent clients' commits still batch:
+// their records stage while the leader's fdatasync runs and share the next
+// one. Meaningless without --data-dir, and pointless with --no-fsync:
 // when nothing syncs there is nothing to amortize (the window is ignored
 // on the no-fsync path rather than adding latency for nothing).
 //
@@ -302,11 +306,16 @@ int main(int argc, char** argv) {
   }
 
   std::unique_ptr<cvs::UntrustedServer> memory_server;
+  std::unique_ptr<cvs::SerializedServer> serialized_server;
   std::unique_ptr<storage::DurableServer> durable_server;
   cvs::ServerApi* api = nullptr;
   if (data_dir.empty()) {
+    // The in-memory server is single-threaded; the serve workers share it
+    // through one lock.
     memory_server = std::make_unique<cvs::UntrustedServer>(params);
-    api = memory_server.get();
+    serialized_server =
+        std::make_unique<cvs::SerializedServer>(memory_server.get());
+    api = serialized_server.get();
   } else {
     storage::DurableOptions durable_options;
     durable_options.fsync = fsync;
