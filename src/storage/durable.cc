@@ -1,5 +1,7 @@
 #include "storage/durable.h"
 
+#include <algorithm>
+
 #include "rpc/protocol.h"
 #include "util/cost.h"
 #include "util/logging.h"
@@ -106,6 +108,18 @@ void ChargeQueue(uint64_t start_us) {
   }
 }
 
+// One flush covering `batch` records.
+void CountFlush(uint64_t batch) {
+  static util::Counter* const flushes =
+      util::MetricsRegistry::Instance().GetCounter(
+          "storage.wal.group_commit.flushes_total");
+  static util::LatencyHistogram* const batch_size =
+      util::MetricsRegistry::Instance().GetLatency(
+          "storage.wal.group_commit.batch_size");
+  flushes->Increment();
+  batch_size->Record(batch);
+}
+
 }  // namespace
 
 Result<uint64_t> DecodeWalGeneration(const Bytes& first_record) {
@@ -158,7 +172,9 @@ Result<std::unique_ptr<DurableServer>> DurableServer::Open(
   // 2. Replay the WAL's longest valid prefix on top: all of it when its
   //    generation is the snapshot's; past the first `wal_skip` records when
   //    it is one older (the checkpoint that wrote the snapshot never
-  //    truncated it, so the snapshot already holds those).
+  //    truncated it, so the snapshot already holds those). An older log can
+  //    hold fewer than `wal_skip` records (a tail that never reached the
+  //    device, or one behind a tear); the snapshot holds all of them.
   bool truncated = false;
   TCVS_ASSIGN_OR_RETURN(std::vector<Bytes> records,
                         ReadWal(WalPath(dir), &truncated));
@@ -167,8 +183,8 @@ Result<std::unique_ptr<DurableServer>> DurableServer::Open(
   if (!records.empty()) {
     TCVS_ASSIGN_OR_RETURN(wal_generation, DecodeWalGeneration(records[0]));
     first = 1;
-    if (wal_generation + 1 == generation && wal_skip < records.size()) {
-      first += wal_skip;
+    if (wal_generation + 1 == generation) {
+      first += std::min<uint64_t>(wal_skip, records.size() - 1);
     } else if (wal_generation != generation) {
       return Status::Corruption(
           "WAL generation " + std::to_string(wal_generation) +
@@ -215,6 +231,12 @@ Result<uint64_t> DurableServer::StageRecord(const Bytes& record,
                                             bool* checkpoint) {
   const uint64_t wait_start_us = util::MonotonicMicros();
   util::MutexLock lock(&mu_);
+  return StageLocked(record, wait_start_us, checkpoint);
+}
+
+Result<uint64_t> DurableServer::StageLocked(const Bytes& record,
+                                            uint64_t wait_start_us,
+                                            bool* checkpoint) {
   while (checkpointing_) apply_cv_.Wait(&mu_);
   ChargeQueue(wait_start_us);
   Status st = wal_.AppendNoFlush(record);
@@ -235,10 +257,8 @@ Result<uint64_t> DurableServer::StageRecord(const Bytes& record,
 }
 
 Status DurableServer::WaitDurable(uint64_t seq) {
-  // With fsync off a flush is a page-cache fflush: work, not a durability
-  // wait, so it stays out of the fsync layer.
   util::CostCounters* cost = util::CurrentCostCounters();
-  if (cost == nullptr || !options_.fsync) return WaitDurableImpl(seq);
+  if (cost == nullptr) return WaitDurableImpl(seq);
   const uint64_t start_us = util::MonotonicMicros();
   Status st = WaitDurableImpl(seq);
   cost->wal_fsync_wait_us += util::MonotonicMicros() - start_us;
@@ -246,13 +266,6 @@ Status DurableServer::WaitDurable(uint64_t seq) {
 }
 
 Status DurableServer::WaitDurableImpl(uint64_t seq) {
-  static util::Counter* const flushes =
-      util::MetricsRegistry::Instance().GetCounter(
-          "storage.wal.group_commit.flushes_total");
-  static util::LatencyHistogram* const batch_size =
-      util::MetricsRegistry::Instance().GetLatency(
-          "storage.wal.group_commit.batch_size");
-
   gc_mu_.Lock();
   for (;;) {
     if (gc_durable_seq_ >= seq) {
@@ -272,10 +285,7 @@ Status DurableServer::WaitDurableImpl(uint64_t seq) {
       // the batching window open so their records join this flush; alone,
       // flush immediately — a sequential workload never pays the window.
       gc_leader_active_ = true;
-      // The window only pays off when a flush costs a device sync: with
-      // fsync off a flush is a page-cache fflush, so waiting would add
-      // latency with nothing to amortize — ignore the window there.
-      if (options_.fsync && options_.group_commit_window_us > 0 &&
+      if (options_.group_commit_window_us > 0 &&
           inflight_.load(std::memory_order_relaxed) > 1) {
         gc_cv_.WaitForUs(&gc_mu_, options_.group_commit_window_us);
       }
@@ -302,8 +312,7 @@ Status DurableServer::WaitDurableImpl(uint64_t seq) {
       gc_mu_.Lock();
       gc_leader_active_ = false;
       if (flush_to > gc_durable_seq_) {
-        flushes->Increment();
-        batch_size->Record(flush_to - gc_durable_seq_);
+        CountFlush(flush_to - gc_durable_seq_);
         if (!st.ok()) {
           for (uint64_t s = gc_durable_seq_ + 1; s <= flush_to; ++s) {
             gc_failed_[s] = st;
@@ -334,10 +343,33 @@ auto DurableServer::Execute(const Bytes& record, Fn apply)
     -> decltype(apply()) {
   // Log, make durable, then apply: a reply only exists once its
   // transaction is durable, so recovery can never lose an acknowledged
-  // state transition. Staging is serialized under mu_ and the apply runs
-  // strictly in staging order, so the log order IS the apply order, which
-  // recovery replay depends on; between the two, the group-commit
-  // coordinator amortizes one flush over every concurrently staged record.
+  // state transition, and the log order IS the apply order, which recovery
+  // replay depends on.
+  if (!options_.fsync) {
+    // A flush is a page-cache push with no device sync to overlap, so the
+    // record is staged, pushed and applied in one turn of mu_.
+    const uint64_t wait_start_us = util::MonotonicMicros();
+    util::MutexLock lock(&mu_);
+    bool checkpoint = false;
+    auto seq = StageLocked(record, wait_start_us, &checkpoint);
+    if (!seq.ok()) return seq.status();
+    Status pushed = wal_.Push();
+    wal_ok_.store(pushed.ok(), std::memory_order_relaxed);
+    CountFlush(1);
+    decltype(apply()) reply = Status::Internal("transaction never applied");
+    if (pushed.ok()) {
+      reply = apply();
+    } else {
+      reply = pushed;  // Not applied: the reply must not exist.
+    }
+    ++apply_next_seq_;
+    if (checkpoint) RunTriggeredCheckpoint();
+    return reply;
+  }
+  // With fsync on, staging is serialized under mu_ and the apply runs
+  // strictly in staging order; between the two, the group-commit
+  // coordinator amortizes one flush over every concurrently staged record,
+  // and its fdatasync runs outside mu_.
   inflight_.fetch_add(1, std::memory_order_relaxed);
   bool checkpoint = false;
   decltype(apply()) reply = Status::Internal("transaction never applied");
@@ -353,16 +385,20 @@ auto DurableServer::Execute(const Bytes& record, Fn apply)
     TakeApplyTurn(*seq, [&] { reply = apply(); });
   }
   if (checkpoint) {
-    // This record closed the staging gate. Its transaction is durable and
-    // applied whatever the checkpoint's fate, so a failure is counted and
-    // logged, never returned.
     util::MutexLock lock(&mu_);
-    if (Status st = CheckpointGated(); !st.ok()) {
-      TCVS_LOG(Warn) << "online checkpoint failed: " << st.ToString();
-    }
+    RunTriggeredCheckpoint();
   }
   inflight_.fetch_sub(1, std::memory_order_relaxed);
   return reply;
+}
+
+void DurableServer::RunTriggeredCheckpoint() {
+  // The triggering record closed the staging gate. Its transaction is
+  // durable and applied whatever the checkpoint's fate, so a failure is
+  // counted and logged, never returned.
+  if (Status st = CheckpointGated(); !st.ok()) {
+    TCVS_LOG(Warn) << "online checkpoint failed: " << st.ToString();
+  }
 }
 
 Result<util::Tainted<cvs::ServerReply>> DurableServer::Transact(
@@ -439,7 +475,9 @@ Status DurableServer::WriteCheckpoint(uint64_t generation) {
 Status DurableServer::ResetWal(uint64_t generation) {
   const Bytes header = EncodeGeneration(generation);
   if (Status st = wal_.Truncate(header); !st.ok()) {
-    wal_ok_.store(false, std::memory_order_relaxed);
+    // A failed ftruncate leaves the log untouched and appendable; only a
+    // log emptied without its generation record stops appends.
+    wal_ok_.store(wal_.is_open(), std::memory_order_relaxed);
     return st;
   }
   wal_generation_ = generation;

@@ -62,7 +62,10 @@ Result<uint64_t> DecodeWalGeneration(const Bytes& first_record);
 /// during the device sync); then it applies to the in-memory server in
 /// strict sequence order. The log order IS the apply order, so replay is
 /// exactly-once, and a reply never exists before its record is durable.
-/// Every method is thread-safe; rpc::Serve calls them concurrently.
+/// With fsync off a flush is a page-cache push with no device sync to
+/// overlap, so a request stages, pushes and applies in one turn of the
+/// lock, the coordinator idle. Every method is thread-safe; rpc::Serve
+/// calls them concurrently.
 ///
 /// **Checkpoints.** A checkpoint streams the state into a fresh snapshot of
 /// generation G = WAL generation + 1 that says it already holds the first N
@@ -134,21 +137,27 @@ class DurableServer : public cvs::ServerApi {
   /// gate is now closed, and the caller must run CheckpointGated after its
   /// apply turn.
   Result<uint64_t> StageRecord(const Bytes& record, bool* checkpoint);
+  /// StageRecord with mu_ held; the wait since `wait_start_us` is charged
+  /// to the request's queue delay.
+  Result<uint64_t> StageLocked(const Bytes& record, uint64_t wait_start_us,
+                               bool* checkpoint) TCVS_REQUIRES(mu_);
 
   /// Blocks until the record with sequence number `seq` is durable (its
   /// covering Flush returned OK), electing this thread flush leader when
   /// none is active. Returns the covering flush's error otherwise.
   /// WaitDurable is a thin wrapper charging the blocked time to the ambient
-  /// per-request cost accumulator (`wal_fsync_wait_us`) when fsync is on;
-  /// with fsync off the flush counts as work.
+  /// per-request cost accumulator (`wal_fsync_wait_us`). Used with fsync
+  /// on only.
   Status WaitDurable(uint64_t seq);
   Status WaitDurableImpl(uint64_t seq);
 
   /// One logged request end to end: stage, wait durable, apply in order
   /// (`apply` touches server_ only), then run the checkpoint this record
-  /// triggered, if any.
+  /// triggered, if any. With fsync off, all of it in one turn of mu_.
   template <typename Fn>
   auto Execute(const Bytes& record, Fn apply) -> decltype(apply());
+  /// The checkpoint a staged record triggered, after that record's apply.
+  void RunTriggeredCheckpoint() TCVS_REQUIRES(mu_);
 
   /// Waits for `seq`'s turn in the apply order, runs `apply` unless it is
   /// null (a failed record still passes its turn on), and passes the turn
@@ -197,7 +206,8 @@ class DurableServer : public cvs::ServerApi {
   /// batching window when it is alone (nothing to wait for).
   std::atomic<uint64_t> inflight_{0};
 
-  /// Health flag for wal_ok(); written by StageRecord and the flush leader.
+  /// Health flag for wal_ok(); written by StageRecord, the flush leader and
+  /// ResetWal.
   std::atomic<bool> wal_ok_{true};
 
   /// \name Group-commit coordinator state, guarded by gc_mu_.

@@ -160,6 +160,10 @@ WalSync WalWriter::sync_handle() const {
 
 Status WalWriter::Truncate(const Bytes& first_record) {
   TCVS_RETURN_NOT_OK(Push());
+  if (util::FaultInjector::Instance().ShouldFail(kFaultWalTruncateFail)) {
+    return Status::IOError("fault injected: " +
+                           std::string(kFaultWalTruncateFail));
+  }
   if (::ftruncate(::fileno(file_), 0) != 0) return Errno("wal truncate");
   Status st = WriteFramed(first_record);
   if (st.ok()) st = Push();

@@ -21,6 +21,8 @@ inline constexpr char kFaultWalSyncFail[] = "wal.sync.fail";
 /// AtomicWriteFile writes the temp file but "crashes" before the rename,
 /// leaving the destination untouched (the atomicity contract under test).
 inline constexpr char kFaultAtomicCrash[] = "storage.atomic.crash";
+/// The ftruncate in WalWriter::Truncate fails, leaving the log untouched.
+inline constexpr char kFaultWalTruncateFail[] = "wal.truncate.fail";
 /// @}
 
 /// \brief CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over a byte
@@ -95,6 +97,10 @@ class WalWriter {
   Status Truncate(const Bytes& first_record);
 
   void Close();
+
+  /// False once the writer has closed (Close, or a Truncate that emptied
+  /// the log but could not write its first record).
+  bool is_open() const { return file_ != nullptr; }
 
   bool sync() const { return sync_; }
 

@@ -809,6 +809,53 @@ TEST_F(CheckpointCrashTest, FailedTruncateThenMoreAppends) {
   ExpectSameState(StateOf(reopened.get()), grown);
 }
 
+TEST_F(CheckpointCrashTest, OldGenerationWalShorterThanSkipCount) {
+  // The snapshot skips all 5 records, but the pre-checkpoint log that
+  // survived holds fewer (a tail that never reached the device, or one
+  // behind a tear): the snapshot already holds every one of them.
+  ASSERT_TRUE(server_->Checkpoint().ok());
+  server_.reset();
+  ASSERT_TRUE(AtomicWriteFile(WalFile(), wal_before_).ok());
+  auto records = ReadWal(WalFile(), nullptr);
+  ASSERT_TRUE(records.ok());
+  ASSERT_EQ(records->size(), 6u);  // Generation record + 5 transactions.
+  size_t end_of_third = 0;
+  for (size_t i = 0; i < 4; ++i) end_of_third += 8 + (*records)[i].size();
+  const size_t cuts[] = {end_of_third, end_of_third + 5};  // Clean, torn.
+  for (size_t cut : cuts) {
+    SCOPED_TRACE("cut at byte " + std::to_string(cut));
+    ASSERT_TRUE(AtomicWriteFile(WalFile(), Bytes(wal_before_.begin(),
+                                                 wal_before_.begin() + cut))
+                    .ok());
+    auto reopened = Reopen();
+    ASSERT_NE(reopened, nullptr);
+    ExpectSameState(StateOf(reopened.get()), before_);
+    EXPECT_EQ(reopened->generation(), 1u);
+    EXPECT_EQ(reopened->wal_records(), 0u);
+  }
+}
+
+TEST_F(CheckpointCrashTest, FailedFtruncateKeepsWalAppendable) {
+  // The snapshot is renamed, then the ftruncate fails: the old-generation
+  // log stays open, /readyz stays ready, and later appends recover.
+  util::FaultInjector::Instance().Arm(kFaultWalTruncateFail,
+                                      util::FaultSpec::OneShot());
+  const uint64_t failures_before =
+      CounterValue("storage.checkpoint.failures_total");
+  EXPECT_TRUE(server_->Checkpoint().IsIOError());
+  EXPECT_EQ(CounterValue("storage.checkpoint.failures_total"),
+            failures_before + 1);
+  EXPECT_TRUE(server_->wal_ok());
+  EXPECT_EQ(server_->generation(), 0u);
+  CommitFiles(server_.get(), 5, 2);
+  EXPECT_TRUE(server_->wal_ok());
+  const RepoState grown = StateOf(server_.get());
+  auto reopened = Reopen();
+  ASSERT_NE(reopened, nullptr);
+  ExpectSameState(StateOf(reopened.get()), grown);
+  EXPECT_EQ(reopened->generation(), 1u);
+}
+
 TEST_F(CheckpointCrashTest, TornTailFoldInterruptedAfterRename) {
   // Open folds a torn tail through the same checkpoint sequence.
   server_.reset();
